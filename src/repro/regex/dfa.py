@@ -13,187 +13,277 @@ Two size-control ideas make scanning practical:
    visits* (the RE2 strategy), with a bounded cache that is flushed on
    overflow, preserving linear-time scanning.
 
-Both engines expose the same three scanning primitives the matcher
-needs:
+Both engines are a :class:`ScanKernel`: one flat, premultiplied
+transition list walked by one set of three loops.  A unit is turned into
+block ids, a byte each, once (:meth:`BlockAlphabet.translate`, C speed);
+after that a step is ``state = flat[state + block]`` and one comparison
+``state <= limit`` that is false for every ordinary target.
 
-* ``first_accept_end(text, start)`` — earliest position where an accept
+Table layout.  A state is stored as its row offset ``id * n_blocks``, so
+no multiplication happens per character.  Offset 0 is the *dead* state
+(its row loops on 0, it never accepts).
+
+* The eager :class:`DFA` orders its states dead, accepting, rest;
+  ``limit`` is the last accepting offset, so ``state <= limit`` means
+  "dead or accepting".
+* The :class:`LazyDFA` cannot order states it has not met.  Its
+  ``limit`` is 0, an entry that leads to an accepting state holds the
+  *negated* offset, and an entry not computed yet holds
+  :data:`UNFILLED`; the kernel calls :meth:`ScanKernel._fill` for the
+  latter, which is the only thing the lazy automaton adds.
+
+Every entry that leads to one state is the same ``int`` object, so the
+table costs a pointer (8 bytes) per entry.
+
+The three scanning primitives the matcher needs take a translated unit
+(a ``memoryview``, so the tail a scan starts from is sliced, not copied):
+
+* ``first_accept_end(data, start)`` — earliest position where an accept
   state is entered (used with the ``Σ* r`` search automaton);
-* ``last_accept_backward(text, end, lo)`` — smallest start of a match
+* ``last_accept_backward(data, end, lo)`` — smallest start of a match
   ending at ``end`` (used with the reversed automaton);
-* ``last_accept_forward(text, start)`` — largest end of a match starting
+* ``last_accept_forward(data, start)`` — largest end of a match starting
   at ``start``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import InternalError
-from repro.regex.charclass import partition_classes
+from repro.regex.charclass import CharClass, partition_classes
 from repro.regex.nfa import NFA
 
 #: Block id handed to characters outside the engine alphabet.  It always
 #: transitions to the dead state.
 FOREIGN_BLOCK = 0
 
+#: Entry of a lazy table that has not been computed yet.  Never a
+#: negated offset: offsets are multiples of ``n_blocks >= 2``.
+UNFILLED = -1
+
 #: Lazy cache flush threshold: number of materialized subset states.
 LAZY_STATE_CACHE_LIMIT = 20_000
 
-
-def _build_blocks(nfa: NFA) -> Tuple[List[int], List[str], int]:
-    """Shared alphabet partitioning: classmap, block reps, block count."""
-    blocks = partition_classes(nfa.classes())
-    classmap = [FOREIGN_BLOCK] * 128
-    block_reps: List[str] = [""]  # index 0 = foreign block
-    for block in blocks:
-        block_id = len(block_reps)
-        block_reps.append(block[0])
-        for ch in block:
-            classmap[ord(ch)] = block_id
-    return classmap, block_reps, len(block_reps)
+#: UTF-8 continuation bytes.  Deleting them leaves one byte per
+#: character: an ASCII character's own, or a lead byte >= 0xC0.
+_UTF8_CONTINUATION = bytes(range(0x80, 0xC0))
 
 
-class DFA:
-    """A dense, fully-materialized deterministic automaton.
+class BlockAlphabet:
+    """One partition of the engine alphabet into equivalence blocks.
+
+    The automata of one pattern share one instance, so a unit is
+    translated once whichever of them scans it.
 
     Attributes:
-        table: ``table[state][block]`` is the next state id.  State 0 is
-            the canonical *dead* state (all transitions loop on it, it
-            never accepts).
-        accepting: ``accepting[state]`` flags accept states.
-        start: the start state id.
-        classmap: 128 ints mapping codepoint -> block id.
-        n_blocks: number of columns in ``table``.
+        reps: ``reps[block]`` is one member character of the block
+            (``""`` for :data:`FOREIGN_BLOCK`).
+        n_blocks: number of blocks, the foreign one included.
     """
 
-    __slots__ = ("table", "accepting", "start", "classmap", "n_blocks")
+    __slots__ = ("reps", "n_blocks", "_table")
+
+    def __init__(self, classes: Iterable[CharClass]):
+        table = bytearray(256)  # every byte starts as FOREIGN_BLOCK
+        reps: List[str] = [""]
+        for block in partition_classes(classes):
+            for ch in block:
+                table[ord(ch)] = len(reps)
+            reps.append(block[0])
+        self.reps = reps
+        self.n_blocks = len(reps)
+        self._table = bytes(table)
+
+    def translate(self, text: str) -> memoryview:
+        """``text`` as block ids, one byte per character.
+
+        ``data[i]`` is the block of ``text[i]``: a non-ASCII character
+        (a lone surrogate included) is encoded as a lead byte, which
+        maps to :data:`FOREIGN_BLOCK` like any other out-of-alphabet
+        byte, and continuation bytes, which are deleted.  Offsets into
+        the result are therefore ``str`` offsets.
+        """
+        return memoryview(text.encode("utf-8", "surrogatepass").translate(
+            self._table, _UTF8_CONTINUATION
+        ))
+
+
+class ScanKernel:
+    """The flat transition table and the loops that walk it.
+
+    Attributes:
+        alphabet: the partition ``flat`` is indexed by.
+        n_blocks: row width of ``flat``.
+        flat: ``flat[state + block]`` is the next state (see the module
+            docstring for how dead, accepting and unfilled targets are
+            told apart).
+        limit: ``flat`` entries ``<= limit`` need the slow path.
+        start: offset of the start state.
+        start_accepts: whether the start state accepts.
+    """
+
+    __slots__ = (
+        "alphabet", "n_blocks", "flat", "limit", "start", "start_accepts",
+    )
 
     def __init__(
         self,
-        table: List[List[int]],
-        accepting: List[bool],
+        alphabet: BlockAlphabet,
+        flat: List[int],
+        limit: int,
         start: int,
-        classmap: List[int],
-        n_blocks: int,
+        start_accepts: bool,
     ):
-        self.table = table
-        self.accepting = accepting
+        self.alphabet = alphabet
+        self.n_blocks = alphabet.n_blocks
+        self.flat = flat
+        self.limit = limit
         self.start = start
-        self.classmap = classmap
-        self.n_blocks = n_blocks
+        self.start_accepts = start_accepts
 
     @property
     def state_count(self) -> int:
-        return len(self.table)
+        return len(self.flat) // self.n_blocks
 
-    def accepts(self, text: str) -> bool:
-        """Whole-string acceptance."""
-        state = self.start
-        table = self.table
-        classmap = self.classmap
-        accepting = self.accepting
-        for ch in text:
-            code = ord(ch)
-            block = classmap[code] if code < 128 else FOREIGN_BLOCK
-            state = table[state][block]
-            if state == 0:
-                return accepting[0]
-        return self.accepting[state]
+    def _fill(self, src: int, block: int) -> int:
+        """Compute, store and return the :data:`UNFILLED` entry
+        ``flat[src + block]``."""
+        raise InternalError("unfilled entry in an eager transition table")
 
     def matches_empty(self) -> bool:
-        return self.accepting[self.start]
+        return self.start_accepts
 
-    # -- scanning primitives (hot loops: locals only) ---------------------
+    def accepts(self, text: str) -> bool:
+        """Whole-string acceptance (False once the automaton dies)."""
+        data = self.alphabet.translate(text)
+        return self.last_accept_forward(data, 0) == len(data)
 
-    def first_accept_end(self, text: str, start: int) -> int:
+    # -- the scan loops (hot: locals only) --------------------------------
+
+    def first_accept_end(self, data: memoryview, start: int) -> int:
         """Earliest i >= start such that an accept state is entered after
-        consuming text[start:i]; -1 if never.  On the dead state the scan
+        consuming data[start:i]; -1 if never.  On the dead state the scan
         restarts from the automaton start (only foreign characters can
         kill a ``Σ* r`` search automaton, and no match crosses them)."""
-        table = self.table
-        classmap = self.classmap
-        accepting = self.accepting
-        state = self.start
-        if accepting[state]:
+        if self.start_accepts:
             return start
-        restart = self.start
-        for i in range(start, len(text)):
-            code = ord(text[i])
-            block = classmap[code] if code < 128 else FOREIGN_BLOCK
-            state = table[state][block]
-            if state == 0:
+        flat = self.flat
+        limit = self.limit
+        state = restart = self.start
+        for i, block in enumerate(data[start:], start + 1):
+            src = state
+            state = flat[src + block]
+            if state <= limit:
+                if state == UNFILLED:
+                    state = self._fill(src, block)
+                    if state > 0:
+                        continue
+                if state:
+                    return i
                 state = restart
-                continue
-            if accepting[state]:
-                return i + 1
         return -1
 
-    def last_accept_backward(self, text: str, end: int, lo: int) -> int:
+    def last_accept_backward(
+        self, data: memoryview, end: int, lo: int
+    ) -> int:
         """Smallest s in [lo, end] with an accept after consuming
-        text[end-1] ... text[s] (i.e. text[s:end] reversed); -1 if none."""
-        table = self.table
-        classmap = self.classmap
-        accepting = self.accepting
+        data[end-1] ... data[s] (i.e. data[s:end] reversed); -1 if none."""
+        flat = self.flat
+        limit = self.limit
         state = self.start
-        best = end if accepting[state] else -1
-        for i in range(end - 1, lo - 1, -1):
-            code = ord(text[i])
-            block = classmap[code] if code < 128 else FOREIGN_BLOCK
-            state = table[state][block]
-            if state == 0:
-                break
-            if accepting[state]:
-                best = i
+        best = end if self.start_accepts else -1
+        for i, block in enumerate(data[lo:end][::-1], 1 - end):
+            src = state
+            state = flat[src + block]
+            if state <= limit:
+                if state == UNFILLED:
+                    state = self._fill(src, block)
+                    if state > 0:
+                        continue
+                if state > 0:
+                    best = -i
+                elif state < 0:
+                    state = -state
+                    best = -i
+                else:
+                    break
         return best
 
-    def last_accept_forward(self, text: str, start: int) -> int:
-        """Largest e with an accept after consuming text[start:e]; -1 if
+    def last_accept_forward(self, data: memoryview, start: int) -> int:
+        """Largest e with an accept after consuming data[start:e]; -1 if
         none (start-state acceptance yields e == start)."""
-        table = self.table
-        classmap = self.classmap
-        accepting = self.accepting
+        flat = self.flat
+        limit = self.limit
         state = self.start
-        best = start if accepting[state] else -1
-        for i in range(start, len(text)):
-            code = ord(text[i])
-            block = classmap[code] if code < 128 else FOREIGN_BLOCK
-            state = table[state][block]
-            if state == 0:
-                break
-            if accepting[state]:
-                best = i + 1
+        best = start if self.start_accepts else -1
+        for i, block in enumerate(data[start:], start + 1):
+            src = state
+            state = flat[src + block]
+            if state <= limit:
+                if state == UNFILLED:
+                    state = self._fill(src, block)
+                    if state > 0:
+                        continue
+                if state > 0:
+                    best = i
+                elif state < 0:
+                    state = -state
+                    best = i
+                else:
+                    break
         return best
 
 
-def build_dfa(nfa: NFA, minimize: bool = True, max_states: int = 50_000) -> DFA:
+class DFA(ScanKernel):
+    """A dense, fully-materialized deterministic automaton.
+
+    States are laid out dead, accepting, rest: a state accepts iff
+    ``0 < state <= limit``.
+    """
+
+    __slots__ = ()
+
+
+def build_dfa(
+    nfa: NFA,
+    minimize: bool = True,
+    max_states: int = 50_000,
+    alphabet: Optional[BlockAlphabet] = None,
+) -> DFA:
     """Eagerly determinize ``nfa`` (and by default minimize the result).
 
-    Raises ``ValueError`` if more than ``max_states`` subsets appear —
-    the caller should fall back to :class:`LazyDFA`.
+    ``alphabet`` must separate every class of ``nfa``; by default it is
+    the partition by those classes.  Raises ``ValueError`` if more than
+    ``max_states`` subsets appear — the caller should fall back to
+    :class:`LazyDFA`.
     """
-    classmap, block_reps, n_blocks = _build_blocks(nfa)
+    if alphabet is None:
+        alphabet = BlockAlphabet(nfa.classes())
+    n_blocks = alphabet.n_blocks
+    block_reps = alphabet.reps
 
     start_set = nfa.epsilon_closure({nfa.start})
     subset_ids: Dict[FrozenSet[int], int] = {}
-    table: List[List[int]] = []
+    rows: List[List[int]] = []
     accepting: List[bool] = []
 
     def intern(subset: FrozenSet[int]) -> int:
         state_id = subset_ids.get(subset)
         if state_id is None:
-            state_id = len(table)
+            state_id = len(rows)
             if state_id > max_states:
                 raise ValueError(
                     f"subset construction exceeded {max_states} states"
                 )
             subset_ids[subset] = state_id
-            table.append([0] * n_blocks)
+            rows.append([0] * n_blocks)
             accepting.append(nfa.accept in subset)
         return state_id
 
     dead = intern(frozenset())
     if dead != 0:
-        # Scanning loops identify the dead state by id 0; survive -O.
+        # The layout below puts the group of state 0 at offset 0.
         raise InternalError(f"dead state interned as {dead}, expected 0")
     start = intern(start_set)
 
@@ -205,120 +295,151 @@ def build_dfa(nfa: NFA, minimize: bool = True, max_states: int = 50_000) -> DFA:
         for block_id in range(1, n_blocks):
             target = nfa.step(subset, block_reps[block_id])
             dst = intern(target)
-            table[src][block_id] = dst
+            rows[src][block_id] = dst
             if target not in processed:
                 processed.add(target)
                 worklist.append(target)
 
-    dfa = DFA(table, accepting, start, classmap, n_blocks)
+    group_of: Sequence[int] = range(len(rows))
     if minimize:
-        dfa = _minimize(dfa)
-    return dfa
+        group_of = _moore_partition(rows, accepting)
+    return _lay_out(rows, accepting, start, group_of, alphabet)
 
 
-def _minimize(dfa: DFA) -> DFA:
-    """Moore partition refinement; preserves state 0 as dead."""
-    n = dfa.state_count
-    part = [1 if acc else 0 for acc in dfa.accepting]
+def _moore_partition(
+    rows: List[List[int]], accepting: List[bool]
+) -> List[int]:
+    """Moore partition refinement: the equivalence group of each state."""
+    n = len(rows)
+    part = [1 if acc else 0 for acc in accepting]
     n_parts = 2
     while True:
         signatures: Dict[Tuple[int, ...], int] = {}
         new_part = [0] * n
         for state in range(n):
-            sig = (part[state],) + tuple(
-                part[t] for t in dfa.table[state]
-            )
+            sig = (part[state],) + tuple(part[t] for t in rows[state])
             group = signatures.get(sig)
             if group is None:
                 group = len(signatures)
                 signatures[sig] = group
             new_part[state] = group
-        if len(signatures) == n_parts:
-            part = new_part
-            break
         part = new_part
+        if len(signatures) == n_parts:
+            return part
         n_parts = len(signatures)
 
-    remap = {part[0]: 0}
-    for state in range(n):
-        if part[state] not in remap:
-            remap[part[state]] = len(remap)
-    groups = len(remap)
-    new_table = [[0] * dfa.n_blocks for _ in range(groups)]
-    new_accepting = [False] * groups
-    for state in range(n):
-        g = remap[part[state]]
-        new_accepting[g] = dfa.accepting[state]
-        row = new_table[g]
-        old_row = dfa.table[state]
-        for b in range(dfa.n_blocks):
-            row[b] = remap[part[old_row[b]]]
+
+def _lay_out(
+    rows: List[List[int]],
+    accepting: List[bool],
+    start: int,
+    group_of: Sequence[int],
+    alphabet: BlockAlphabet,
+) -> DFA:
+    """Emit the flat table, one row per group of states, ordered dead,
+    accepting, rest.  State 0 is dead, so its group gets offset 0."""
+    rep_of: Dict[int, int] = {}
+    for state, group in enumerate(group_of):
+        rep_of.setdefault(group, state)
+    dead = group_of[0]
+    accept = [g for g, rep in rep_of.items() if accepting[rep]]
+    rest = [
+        g for g, rep in rep_of.items() if not accepting[rep] and g != dead
+    ]
+    order = [dead] + accept + rest
+    n_blocks = alphabet.n_blocks
+    # One int object per state: every entry that leads to it shares it.
+    offset_of_group = {g: i * n_blocks for i, g in enumerate(order)}
+    offset_of = [offset_of_group[g] for g in group_of]
+    flat: List[int] = []
+    for group in order:
+        flat.extend([offset_of[t] for t in rows[rep_of[group]]])
     return DFA(
-        new_table,
-        new_accepting,
-        remap[part[dfa.start]],
-        list(dfa.classmap),
-        dfa.n_blocks,
+        alphabet,
+        flat,
+        limit=len(accept) * n_blocks,
+        start=offset_of[start],
+        start_accepts=accepting[start],
     )
 
 
-class LazyDFA:
+class LazyDFA(ScanKernel):
     """On-the-fly determinization with a bounded state cache.
 
-    Functionally equivalent to :class:`DFA` for the three scanning
-    primitives, but subset states are created only when the text first
-    visits them.  When the cache exceeds
+    The same :class:`ScanKernel` as :class:`DFA`, but subset states are
+    created only when the text first visits them: this class supplies
+    :meth:`_fill` and nothing else of the scan.  When the cache exceeds
     :data:`LAZY_STATE_CACHE_LIMIT` states it is flushed and rebuilt from
     the current subset — scanning stays linear with an amortized
-    constant factor (the RE2 approach to DFA state blowup).
+    constant factor (the RE2 approach to DFA state blowup).  A flush
+    empties ``flat`` in place, so a scan in progress keeps walking the
+    same list; the dead and start states keep their offsets.
     """
 
-    def __init__(self, nfa: NFA, cache_limit: int = LAZY_STATE_CACHE_LIMIT):
+    __slots__ = (
+        "_nfa", "_cache_limit", "_move", "_blank_row", "_start_set",
+        "_entry_of", "_subsets", "flush_count",
+    )
+
+    def __init__(
+        self,
+        nfa: NFA,
+        cache_limit: int = LAZY_STATE_CACHE_LIMIT,
+        alphabet: Optional[BlockAlphabet] = None,
+    ):
+        if alphabet is None:
+            alphabet = BlockAlphabet(nfa.classes())
         self._nfa = nfa
         self._cache_limit = cache_limit
-        self.classmap, self._block_reps, self.n_blocks = _build_blocks(nfa)
+        n_blocks = alphabet.n_blocks
         # Per-NFA-state move sets, precomputed per block for fast stepping.
         self._move: List[List[Tuple[int, ...]]] = []
         for state in range(nfa.state_count):
-            rows: List[Tuple[int, ...]] = [()]
-            for block_id in range(1, self.n_blocks):
-                rep = self._block_reps[block_id]
-                rows.append(tuple(
+            moves: List[Tuple[int, ...]] = [()]
+            for block_id in range(1, n_blocks):
+                rep = alphabet.reps[block_id]
+                moves.append(tuple(
                     dst for cls, dst in nfa.transitions[state] if rep in cls
                 ))
-            self._move.append(rows)
+            self._move.append(moves)
+        # A new state's row: the foreign block kills, the rest is unknown.
+        self._blank_row = [0] + [UNFILLED] * (n_blocks - 1)
         self.flush_count = 0
+        self._start_set = nfa.epsilon_closure({nfa.start})
+        super().__init__(
+            alphabet, [], limit=0, start=n_blocks,
+            start_accepts=nfa.accept in self._start_set,
+        )
         self._reset_cache()
 
     def _reset_cache(self) -> None:
-        self._subset_ids: Dict[FrozenSet[int], int] = {}
+        #: subset -> the entry that leads to it (offset, negated if accepting)
+        self._entry_of: Dict[FrozenSet[int], int] = {}
         self._subsets: List[FrozenSet[int]] = []
-        self._accepting: List[bool] = []
-        self._trans: List[List[Optional[int]]] = []
-        self._dead = self._intern(frozenset())
-        self.start = self._intern(
-            self._nfa.epsilon_closure({self._nfa.start})
-        )
+        del self.flat[:]
+        dead = self._intern(frozenset())
+        start = abs(self._intern(self._start_set))
+        if dead != 0 or start != self.start:
+            # The kernel identifies the dead state by offset 0 and
+            # restarts a search from self.start; survive -O.
+            raise InternalError(
+                f"lazy dead/start states interned as {dead}/{start}, "
+                f"expected 0/{self.start}"
+            )
 
     def _intern(self, subset: FrozenSet[int]) -> int:
-        sid = self._subset_ids.get(subset)
-        if sid is None:
-            sid = len(self._subsets)
-            self._subset_ids[subset] = sid
+        entry = self._entry_of.get(subset)
+        if entry is None:
+            entry = len(self.flat)
+            if self._nfa.accept in subset:
+                entry = -entry
+            self._entry_of[subset] = entry
             self._subsets.append(subset)
-            self._accepting.append(self._nfa.accept in subset)
-            self._trans.append([None] * self.n_blocks)
-        return sid
+            self.flat.extend(self._blank_row)
+        return entry
 
-    @property
-    def state_count(self) -> int:
-        return len(self._subsets)
-
-    def _step(self, sid: int, block: int) -> int:
-        cached = self._trans[sid][block]
-        if cached is not None:
-            return cached
-        subset = self._subsets[sid]
+    def _fill(self, src: int, block: int) -> int:
+        subset = self._subsets[src // self.n_blocks]
         moved = set()
         move = self._move
         for state in subset:
@@ -326,74 +447,12 @@ class LazyDFA:
         target = self._nfa.epsilon_closure(moved) if moved else frozenset()
         if (
             len(self._subsets) >= self._cache_limit
-            and target not in self._subset_ids
+            and target not in self._entry_of
         ):
             # Cache overflow: flush and re-intern only what we need now.
-            current = self._subsets[sid]
             self.flush_count += 1
             self._reset_cache()
-            sid = self._intern(current)
-        dst = self._intern(target)
-        self._trans[sid][block] = dst
-        return dst
-
-    def accepts(self, text: str) -> bool:
-        state = self.start
-        classmap = self.classmap
-        for ch in text:
-            code = ord(ch)
-            block = classmap[code] if code < 128 else FOREIGN_BLOCK
-            state = self._step(state, block)
-            if state == self._dead:
-                return False
-        return self._accepting[state]
-
-    def matches_empty(self) -> bool:
-        return self._accepting[self.start]
-
-    # -- scanning primitives ----------------------------------------------
-
-    def first_accept_end(self, text: str, start: int) -> int:
-        classmap = self.classmap
-        accepting = self._accepting
-        state = self.start
-        if accepting[state]:
-            return start
-        for i in range(start, len(text)):
-            code = ord(text[i])
-            block = classmap[code] if code < 128 else FOREIGN_BLOCK
-            state = self._step(state, block)
-            if state == 0:
-                state = self.start
-                continue
-            if self._accepting[state]:
-                return i + 1
-        return -1
-
-    def last_accept_backward(self, text: str, end: int, lo: int) -> int:
-        classmap = self.classmap
-        state = self.start
-        best = end if self._accepting[state] else -1
-        for i in range(end - 1, lo - 1, -1):
-            code = ord(text[i])
-            block = classmap[code] if code < 128 else FOREIGN_BLOCK
-            state = self._step(state, block)
-            if state == 0:
-                break
-            if self._accepting[state]:
-                best = i
-        return best
-
-    def last_accept_forward(self, text: str, start: int) -> int:
-        classmap = self.classmap
-        state = self.start
-        best = start if self._accepting[state] else -1
-        for i in range(start, len(text)):
-            code = ord(text[i])
-            block = classmap[code] if code < 128 else FOREIGN_BLOCK
-            state = self._step(state, block)
-            if state == 0:
-                break
-            if self._accepting[state]:
-                best = i + 1
-        return best
+            src = abs(self._intern(subset))
+        entry = self._intern(target)
+        self.flat[src + block] = entry
+        return entry

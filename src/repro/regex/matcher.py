@@ -7,7 +7,9 @@ FREE needs two matching primitives over a *data unit* (a page):
 * ``finditer`` — enumerate the matching substrings (used to report
   matching strings and to rank them by frequency, Example 1.2).
 
-Both are built on three automata derived from one parsed pattern:
+Both are built on three automata derived from one parsed pattern, all
+over one alphabet partition so a unit is translated to block ids once
+per call and then only walked (:mod:`repro.regex.dfa`):
 
 * the **search automaton** for ``Σ* r`` finds the first position where
   some match *ends* in a single left-to-right pass;
@@ -33,9 +35,10 @@ from __future__ import annotations
 import re as _stdlib_re
 from typing import Iterator, List, Optional, Tuple, Union
 
+from repro.errors import InternalError
 from repro.regex import ast as ast_
 from repro.regex.charclass import DOT, CharClass
-from repro.regex.dfa import DFA, LazyDFA, build_dfa
+from repro.regex.dfa import BlockAlphabet, DFA, LazyDFA, build_dfa
 from repro.regex.nfa import NFA, build_nfa
 from repro.regex.parser import parse
 from repro.regex.rewrite import (
@@ -49,15 +52,16 @@ from repro.regex.rewrite import (
 EAGER_NFA_LIMIT = 160
 
 
-def _compile_automaton(node: ast_.Node) -> Union[DFA, LazyDFA]:
+def _compile_automaton(
+    nfa: NFA, alphabet: BlockAlphabet
+) -> Union[DFA, LazyDFA]:
     """Pick the determinization strategy by NFA size."""
-    nfa = build_nfa(node)
     if nfa.state_count <= EAGER_NFA_LIMIT:
         try:
-            return build_dfa(nfa, max_states=20_000)
+            return build_dfa(nfa, max_states=20_000, alphabet=alphabet)
         except ValueError:
-            return LazyDFA(nfa)
-    return LazyDFA(nfa)
+            pass
+    return LazyDFA(nfa, alphabet=alphabet)
 
 
 class Matcher:
@@ -96,13 +100,21 @@ class Matcher:
 
         if backend == "re":
             self._re = _stdlib_re.compile(to_stdlib_pattern(self.ast))
+            self._alphabet = None
             self._search = self._forward = self._reverse = None
         else:
             self._re = None
             search_ast = ast_.concat(ast_.Star(ast_.Char(DOT)), self.ast)
-            self._search = _compile_automaton(search_ast)
-            self._forward = _compile_automaton(self.ast)
-            self._reverse = _compile_automaton(reverse_ast(self.ast))
+            nfas = [
+                build_nfa(node)
+                for node in (search_ast, self.ast, reverse_ast(self.ast))
+            ]
+            # The search NFA carries every class of the other two (and
+            # the dot, which splits nothing).
+            self._alphabet = BlockAlphabet(nfas[0].classes())
+            self._search, self._forward, self._reverse = (
+                _compile_automaton(nfa, self._alphabet) for nfa in nfas
+            )
 
     # -- public API -----------------------------------------------------
 
@@ -128,7 +140,8 @@ class Matcher:
             return False
         if self._re is not None:
             return self._re.search(text) is not None
-        return self._search.first_accept_end(text, 0) >= 0
+        data = self._alphabet.translate(text)
+        return self._search.first_accept_end(data, 0) >= 0
 
     def search(self, text: str, start: int = 0) -> Optional[Tuple[int, int]]:
         """First leftmost-longest match span at or after ``start``."""
@@ -142,19 +155,23 @@ class Matcher:
             for m in self._re.finditer(text, start):
                 yield m.span()
             return
+        data = self._alphabet.translate(text)
+        first_end = self._search.first_accept_end
+        leftmost = self._reverse.last_accept_backward
+        longest_end = self._forward.last_accept_forward
         pos = start
-        n = len(text)
+        n = len(data)
         while pos <= n:
-            end = self._search.first_accept_end(text, pos)
+            end = first_end(data, pos)
             if end < 0:
                 return
-            begin = self._reverse.last_accept_backward(text, end, pos)
+            begin = leftmost(data, end, pos)
             if begin < 0:
-                raise AssertionError(
+                raise InternalError(
                     "reverse scan found no start; search/reverse automata "
                     "disagree"
                 )
-            longest = self._forward.last_accept_forward(text, begin)
+            longest = longest_end(data, begin)
             if longest < 0:
                 longest = end
             yield (begin, longest)

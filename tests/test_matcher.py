@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro.errors import InternalError
+from repro.regex.dfa import build_dfa
 from repro.regex.matcher import Matcher, to_stdlib_pattern
+from repro.regex.nfa import build_nfa
 from repro.regex.parser import parse
 
 
@@ -75,6 +78,18 @@ class TestSpans:
     def test_empty_match_advances(self):
         spans = list(Matcher("a*").finditer("ba"))
         assert (0, 0) in spans and (1, 2) in spans
+
+    def test_non_ascii_keeps_str_offsets(self):
+        text = "\u00e9\u00e9 ab \U0001f600 ab"
+        assert list(Matcher("ab").finditer(text)) == [(3, 5), (8, 10)]
+        assert Matcher("a.b").findall("a\u00e9b a\x00b a\x7fb a-b") == ["a-b"]
+
+    def test_search_reverse_disagreement_is_internal_error(self):
+        # Not an AssertionError: it must survive -O and map to a 500.
+        m = Matcher("ab")
+        m._reverse = build_dfa(build_nfa(parse("aa")), alphabet=m._alphabet)
+        with pytest.raises(InternalError, match="disagree"):
+            list(m.finditer("xxab"))
 
     def test_fullmatch(self):
         m = Matcher("ab+")

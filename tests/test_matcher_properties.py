@@ -6,18 +6,23 @@ vs leftmost-longest difference).
 
 Oracle 2: direct NFA simulation for whole-string acceptance (parser ->
 NFA -> eager DFA -> lazy DFA must all define the same language).
+
+Oracle 3: ``finditer`` spans against a reference built from
+per-character ``NFA.step`` simulation, for the scan kernel over an eager
+table and over a lazily filled one.
 """
 
 from __future__ import annotations
 
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.regex import ast
-from repro.regex.charclass import CharClass
-from repro.regex.dfa import LazyDFA, build_dfa
+from repro.regex import ast, matcher as matcher_module
+from repro.regex.charclass import DOT, CharClass
+from repro.regex.dfa import DFA, LazyDFA, build_dfa
 from repro.regex.matcher import Matcher, to_stdlib_pattern
 from repro.regex.nfa import build_nfa
 from repro.regex.parser import parse
@@ -78,6 +83,67 @@ def test_nfa_dfa_lazy_agree(node, text):
     expected = nfa.accepts(text)
     assert eager.accepts(text) == expected
     assert lazy.accepts(text) == expected
+
+
+def reference_spans(node, text, start):
+    """What ``finditer`` promises, by brute force over ``NFA.step``.
+
+    From ``pos``: the earliest position where any match ends, the
+    smallest start of a match ending there, and the longest match from
+    that start; then on from its end (one further after an empty match).
+    """
+    nfa = build_nfa(node)
+    n = len(text)
+    ends_from = []
+    for s in range(n + 1):
+        current = nfa.epsilon_closure({nfa.start})
+        ends = {s} if nfa.accept in current else set()
+        for i in range(s, n):
+            current = nfa.step(current, text[i])
+            if not current:
+                break
+            if nfa.accept in current:
+                ends.add(i + 1)
+        ends_from.append(ends)
+    spans = []
+    pos = start
+    while pos <= n:
+        reachable = [min(ends_from[s]) for s in range(pos, n + 1) if ends_from[s]]
+        if not reachable:
+            break
+        end = min(reachable)
+        begin = min(s for s in range(pos, end + 1) if end in ends_from[s])
+        longest = max(ends_from[begin])
+        spans.append((begin, longest))
+        pos = longest if longest > begin else begin + 1
+    return spans
+
+
+#: One- and several-byte foreign characters, the in-range controls the
+#: alphabet leaves out, and the pattern's own letters.
+scan_texts = st.text(
+    alphabet=ALPHABET + "d \u00e9\U0001f600\x00\x7f", max_size=14
+)
+
+
+@pytest.mark.parametrize("automaton", [DFA, LazyDFA])
+@settings(max_examples=150, deadline=None)
+@given(
+    node=st.one_of(asts(), asts(4).map(
+        lambda n: ast.concat(n, ast.Char(DOT), n)
+    )),
+    text=scan_texts,
+    data=st.data(),
+)
+def test_kernel_spans_match_nfa_reference(automaton, node, text, data):
+    start = data.draw(st.integers(0, len(text)))
+    # Nothing is small enough for the eager builder at limit -1.
+    limit = matcher_module.EAGER_NFA_LIMIT if automaton is DFA else -1
+    with mock.patch.object(matcher_module, "EAGER_NFA_LIMIT", limit):
+        ours = Matcher(node)
+    assert type(ours._search) is type(ours._reverse) is automaton
+    assert list(ours.finditer(text, start)) == reference_spans(node, text, start)
+    assert ours.contains(text) == bool(reference_spans(node, text, 0))
 
 
 @settings(max_examples=100, deadline=None)
