@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import heapq
 from concurrent.futures import Executor
-from typing import TYPE_CHECKING, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from repro.errors import PlanError
 from repro.index.kernels import PYTHON_KERNEL, PostingsKernel
@@ -35,12 +35,12 @@ from repro.index.postings import (
 from repro.iomodel.diskmodel import DiskModel
 from repro.metrics import QueryMetrics
 from repro.obs.trace import maybe_span
-from repro.plan.physical import PAll, PAnd, PLookup, POr, PhysNode, PhysicalPlan
+from repro.plan.physical import (
+    CompiledPlans, PAll, PAnd, PLookup, POr, PhysNode, PhysicalPlan,
+)
 
 if TYPE_CHECKING:  # index.sharded imports this module: defer.
     from repro.index.sharded import ShardedIndex
-    from repro.plan.logical import LogicalPlan
-    from repro.plan.physical import CoverPolicy
 
 
 def execute_plan(
@@ -217,19 +217,18 @@ def merge_shard_candidates(parts: Sequence[List[int]]) -> List[int]:
 
 
 def execute_plan_sharded(
-    logical: "LogicalPlan",
+    plans: CompiledPlans,
     sharded: "ShardedIndex",
-    policy: Union["CoverPolicy", str] = "all",
     pool: Optional[Executor] = None,
     disk: Optional[DiskModel] = None,
     metrics: Optional[QueryMetrics] = None,
     kernel: Optional[PostingsKernel] = None,
 ) -> Optional[List[int]]:
-    """Evaluate ``logical`` against every shard; union the results.
+    """Evaluate ``plans`` against every shard; union the results.
 
-    The per-shard work (compile the shard's physical plan, run the
-    postings operations, map local ids to global) is pure compute on
-    immutable shard state, so with a ``pool`` (any
+    The per-shard work (fetch or compile the shard's physical plan,
+    run the postings operations, map local ids to global) is pure
+    compute on immutable shard state, so with a ``pool`` (any
     :class:`concurrent.futures.Executor`) the shards are fanned out
     concurrently.  Results are collected **by shard ordinal** and all
     shared-state effects — disk charges, per-query metrics — are
@@ -239,23 +238,16 @@ def execute_plan_sharded(
     Returns ``None`` (scan everything) only when *every* shard's plan
     collapsed to a full scan.
     """
-    from repro.plan.physical import CoverPolicy as _CoverPolicy
-
-    policy = _CoverPolicy(policy)
     ordinals = range(sharded.n_shards)
     if pool is None or sharded.n_shards == 1:
         results = [
-            sharded.shard_candidates(ordinal, logical, policy, kernel=kernel)
+            sharded.shard_candidates(ordinal, plans, kernel=kernel)
             for ordinal in ordinals
         ]
     else:
         futures = [
             pool.submit(
-                sharded.shard_candidates,
-                ordinal,
-                logical,
-                policy,
-                kernel=kernel,
+                sharded.shard_candidates, ordinal, plans, kernel=kernel
             )
             for ordinal in ordinals
         ]

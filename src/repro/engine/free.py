@@ -17,17 +17,22 @@ On top of the paper's one-shot path sits the production query-path
 cache (ROADMAP: heavy repeated traffic):
 
 * a **plan cache** — LRU keyed by ``(pattern, cover_policy,
-  distribute)`` holding the compiled logical+physical plan pair;
+  distribute)``; each entry (:class:`~repro.plan.physical.CompiledPlans`)
+  holds the logical plan plus one physical plan per index part it has
+  run against (the flat index, a segment's, a shard's), kept with the
+  part's epoch — a sealed segment is planned once for its lifetime;
 * a **candidate cache** (off by default) — LRU of materialized
   candidate-id lists; a hit skips the whole postings phase, including
   its simulated postings I/O;
 * a **matcher cache** — LRU of compiled automata (previously an
   unbounded dict).
 
-All three are explicitly invalidated when the attached index changes
-(assign ``engine.index`` or call :meth:`invalidate_caches`); candidate
-cache keys additionally carry the index epoch so mutable indexes (the
-segmented engine) can never serve stale candidates.
+Plan and candidate entries are dropped when the attached index changes
+(assign ``engine.index`` or call :meth:`invalidate_caches`).  The index
+epoch keys only the candidate cache, so mutable indexes (the segmented
+engine) can never serve stale candidates; physical plans are keyed by
+the index part and epoch they were compiled for, and tombstones and
+the memtable are applied after plan execution.
 
 Every execution reports wall time *and* simulated I/O cost, plus a
 :class:`~repro.metrics.QueryMetrics` with per-stage counters; the
@@ -79,7 +84,7 @@ from repro.obs.registry import (
 from repro.obs.trace import Trace, maybe_span
 from repro.plan.cost import PlanCost, estimate_cost
 from repro.plan.logical import LogicalPlan
-from repro.plan.physical import CoverPolicy, PhysicalPlan
+from repro.plan.physical import CompiledPlans, CoverPolicy, PhysicalPlan
 from repro.regex.matcher import Matcher
 
 #: Candidate-cache sentinel for "the plan said scan everything".
@@ -282,8 +287,8 @@ class FreeEngine:
     ) -> Tuple[LogicalPlan, Optional[PhysicalPlan]]:
         """Phases 1-2: parse and compile; physical plan None without index.
 
-        Served from the plan cache when possible — the compiled pair is
-        immutable, so sharing it across queries is safe.  With tracing
+        Served from the plan cache when possible — compiled plans are
+        immutable, so sharing them across queries is safe.  With tracing
         on, a ``plan`` span wraps the work; cache misses additionally
         record ``parse``, ``rewrite`` and ``physical_plan`` child spans
         (a cache hit is a single leaf span).
@@ -291,37 +296,37 @@ class FreeEngine:
         if trace is None and metrics is not None:
             trace = metrics.trace
         with maybe_span(trace, "plan"):
-            # The epoch rides in the key (like the candidate cache's)
-            # so a mutable index bumping its epoch makes every cached
-            # plan unreachable: a physical plan compiled against old
-            # contents may look up keys the mutation removed, which
-            # would silently drop candidates — not just run slow.
-            key = (
-                pattern, self.cover_policy, self.distribute,
-                self._cache_epoch(),
-            )
-            cached = self._plan_cache.get(key)
-            if cached is not None:
-                if metrics is not None:
-                    metrics.plan_cache_hit = True
-                return cached
-            if metrics is not None:
-                metrics.plan_cache_hit = False
-            logical = LogicalPlan.from_pattern(
-                pattern, distribute=self.distribute, trace=trace
-            )
+            plans = self._compiled_plans(pattern, metrics, trace)
             if self._index is None:
-                compiled: Tuple[LogicalPlan, Optional[PhysicalPlan]] = (
-                    logical, None
-                )
-            else:
-                with maybe_span(trace, "physical_plan"):
-                    physical = PhysicalPlan.compile(
-                        logical, self._index, self.cover_policy
-                    )
-                compiled = (logical, physical)
-            self._plan_cache.put(key, compiled)
-            return compiled
+                return plans.logical, None
+            return plans.logical, plans.physical(self._index, metrics, trace)
+
+    def _compiled_plans(
+        self,
+        pattern: str,
+        metrics: Optional[QueryMetrics] = None,
+        trace: Optional[Trace] = None,
+    ) -> CompiledPlans:
+        """The plan-cache entry of ``pattern``, made on a miss.
+
+        Keyed without any epoch: the logical plan depends on the
+        pattern alone, and each physical plan inside the entry is
+        keyed by the index part (and epoch) it was compiled for.
+        """
+        key = (pattern, self.cover_policy, self.distribute)
+        plans = self._plan_cache.get(key)
+        if plans is not None:
+            if metrics is not None:
+                metrics.plan_cache_hit = True
+            return plans
+        if metrics is not None:
+            metrics.plan_cache_hit = False
+        logical = LogicalPlan.from_pattern(
+            pattern, distribute=self.distribute, trace=trace
+        )
+        plans = CompiledPlans(logical, self.cover_policy)
+        self._plan_cache.put(key, plans)
+        return plans
 
     def explain(
         self,

@@ -79,7 +79,7 @@ from repro.obs.clock import monotonic
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import Trace, maybe_span
 from repro.plan.cost import PlanCost
-from repro.plan.physical import CoverPolicy, PhysicalPlan
+from repro.plan.physical import CoverPolicy
 
 #: Fork-shared engine registry: entries made *before* the pool's workers
 #: fork are visible in every worker at the same token.  Keyed by a
@@ -322,9 +322,9 @@ class ShardedFreeEngine(FreeEngine):
         still crosses the caller's fallback threshold exactly when the
         untruncated total would.
         """
-        logical, _physical = self.plan(pattern, metrics)
         trace = metrics.trace if metrics is not None else None
-        policy = self.cover_policy
+        with maybe_span(trace, "plan"):
+            plans = self._compiled_plans(pattern, metrics, trace)
         n_shards = self.sharded.n_shards
         with maybe_span(
             trace, "postings", shards=n_shards, workers=self.workers
@@ -334,7 +334,7 @@ class ShardedFreeEngine(FreeEngine):
                 for ordinal in range(n_shards):
                     with maybe_span(trace, "shard", shard=ordinal) as span:
                         ids, shard_metrics = self.sharded.shard_candidates(
-                            ordinal, logical, policy, first_k=first_k,
+                            ordinal, plans, first_k=first_k,
                             kernel=self._shard_kernels[ordinal],
                         )
                         if span is not None:
@@ -350,8 +350,8 @@ class ShardedFreeEngine(FreeEngine):
                 pool = self._ensure_pool()
                 futures = [
                     pool.submit(
-                        self.sharded.shard_candidates, ordinal, logical,
-                        policy, first_k=first_k,
+                        self.sharded.shard_candidates, ordinal, plans,
+                        first_k=first_k,
                         kernel=self._shard_kernels[ordinal],
                     )
                     for ordinal in range(n_shards)
@@ -360,7 +360,7 @@ class ShardedFreeEngine(FreeEngine):
             else:
                 results = [
                     self.sharded.shard_candidates(
-                        ordinal, logical, policy, first_k=first_k,
+                        ordinal, plans, first_k=first_k,
                         kernel=self._shard_kernels[ordinal],
                     )
                     for ordinal in range(n_shards)
@@ -514,9 +514,8 @@ class ShardedFreeEngine(FreeEngine):
             random_multiplier=self.disk.random_multiplier,
             posting_cost_chars=self.disk.posting_cost_chars,
         )
-        logical, _physical = self.plan(pattern)
         ids, shard_metrics = self.sharded.shard_candidates(
-            ordinal, logical, self.cover_policy, metrics=shard_metrics,
+            ordinal, self._compiled_plans(pattern), metrics=shard_metrics,
             kernel=self._shard_kernels[ordinal],
         )
         for record in shard_metrics.lookups:
@@ -590,14 +589,13 @@ class ShardedFreeEngine(FreeEngine):
 
         Per-shard plans legitimately differ: each shard compiles
         against its own key directory (a gram useful in one shard may
-        be useless in another).
+        be useless in another).  The plans shown are the cached ones
+        queries execute.
         """
-        logical, _ = self.plan(pattern)
-        parts = [logical.pretty()]
+        plans = self._compiled_plans(pattern)
+        parts = [plans.logical.pretty()]
         for ordinal, shard in enumerate(self.sharded.shards):
-            physical = PhysicalPlan.compile(
-                logical, shard.index, self.cover_policy
-            )
+            physical = plans.physical(shard.index)
             if physical.is_full_scan:
                 parts.append(f"shard {ordinal}: shard-scan")
             else:

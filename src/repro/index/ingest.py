@@ -48,7 +48,6 @@ import time
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Set, Tuple,
-    Union,
 )
 
 from repro.corpus.document import DataUnit
@@ -65,8 +64,7 @@ from repro.obs.trace import Trace, maybe_span
 
 if TYPE_CHECKING:  # plan layer imports this package: defer.
     from repro.index.kernels import PostingsKernel
-    from repro.plan.logical import LogicalPlan
-    from repro.plan.physical import CoverPolicy
+    from repro.plan.physical import CompiledPlans
 
 MANIFEST_NAME = "MANIFEST.json"
 WAL_NAME = "wal.jsonl"
@@ -436,8 +434,7 @@ class IngestIndex(SegmentedGramIndex):
 
     def candidates(
         self,
-        logical: "LogicalPlan",
-        policy: Union["CoverPolicy", str] = "all",
+        plans: "CompiledPlans",
         disk: Optional[DiskModel] = None,
         metrics: Optional[QueryMetrics] = None,
         kernel: Optional["PostingsKernel"] = None,
@@ -449,15 +446,11 @@ class IngestIndex(SegmentedGramIndex):
         so the engine's dense full-scan enumeration would be wrong —
         the explicit live-id list is the full scan here.
         """
-        from repro.plan.physical import CoverPolicy
-
-        policy = CoverPolicy(policy)
         segments, memtable_ids = self.snapshot()
         merged: List[int] = list(memtable_ids)
         for segment in segments:
-            merged.extend(
-                segment.candidates(logical, policy, disk, metrics, kernel)
-            )
+            physical = plans.physical(segment.index, metrics)
+            merged.extend(segment.candidates(physical, disk, metrics, kernel))
         merged.sort()
         return merged
 

@@ -259,11 +259,11 @@ class NumpyKernel(PostingsKernel):
         limbs = (data & 0x7F).astype(np.int64) << (7 * offsets)
         gaps = np.add.reduceat(limbs, starts)
         ids = previous + np.cumsum(gaps + 1)
-        # int64 wrap-around shows up as a non-increasing step (every
-        # true step is >= 1): demote to the python decoder.
-        if int(ids[0]) <= previous:
-            return None
-        if ids.size > 1 and not bool(np.all(np.diff(ids) > 0)):
+        # int64 wrap-around: every true id is >= 0 and every step is
+        # under 2**56, so the first wrapped id is always negative (a
+        # step test would itself overflow).  Demote to the python
+        # decoder.
+        if int(ids.min()) < 0:
             return None
         return ids
 

@@ -15,7 +15,9 @@ architecture) on top of the paper's index:
 Query-time, each segment compiles the logical plan against *its own*
 key directory — a gram useful (hence indexed) in one segment may be
 useless in another, so per-segment physical plans differ; soundness
-holds segment-by-segment, therefore globally (property-tested).
+holds segment-by-segment, therefore globally (property-tested).  A
+segment's index never changes, so the engine's plan cache compiles it
+once per pattern and reuses the plan for the segment's lifetime.
 """
 
 from __future__ import annotations
@@ -35,8 +37,7 @@ from repro.metrics import QueryMetrics
 if TYPE_CHECKING:  # plan/engine layers import this package: defer.
     from repro.index.kernels import PostingsKernel
     from repro.obs.registry import MetricsRegistry
-    from repro.plan.logical import LogicalPlan
-    from repro.plan.physical import CoverPolicy
+    from repro.plan.physical import CompiledPlans, CoverPolicy, PhysicalPlan
 
 
 class Segment:
@@ -68,17 +69,15 @@ class Segment:
 
     def candidates(
         self,
-        logical: "LogicalPlan",
-        policy: "CoverPolicy",
+        physical: "PhysicalPlan",
         disk: Optional[DiskModel] = None,
         metrics: Optional[QueryMetrics] = None,
         kernel: Optional["PostingsKernel"] = None,
     ) -> List[int]:
-        """Global candidate ids in this segment (tombstones excluded)."""
+        """Global candidate ids in this segment (tombstones excluded)
+        under ``physical``, a plan compiled for this segment's index."""
         from repro.engine.executor import execute_plan
-        from repro.plan.physical import PhysicalPlan
 
-        physical = PhysicalPlan.compile(logical, self.index, policy)
         if physical.is_full_scan:
             return self.live_global_ids()
         local = execute_plan(
@@ -229,31 +228,26 @@ class SegmentedGramIndex:
 
     def candidates(
         self,
-        logical: "LogicalPlan",
-        policy: Union["CoverPolicy", str] = "all",
+        plans: "CompiledPlans",
         disk: Optional[DiskModel] = None,
         metrics: Optional[QueryMetrics] = None,
         kernel: Optional["PostingsKernel"] = None,
     ) -> Optional[List[int]]:
         """Sorted global candidate ids, or None for "scan everything".
 
-        None is only returned when every segment's plan degenerated to a
-        full scan *and* there are no tombstones — otherwise the explicit
-        id list (which excludes deleted docs) is required for
-        correctness.
+        Each segment runs the physical plan ``plans`` holds for its
+        index (compiled once per segment, then reused).  None is only
+        returned when every segment's plan degenerated to a full scan
+        *and* there are no tombstones — otherwise the explicit id list
+        (which excludes deleted docs) is required for correctness.
         """
-        from repro.plan.physical import CoverPolicy, PhysicalPlan
-
-        policy = CoverPolicy(policy)
         all_null = True
         merged: List[int] = []
         for segment in self.segments:
-            physical = PhysicalPlan.compile(logical, segment.index, policy)
+            physical = plans.physical(segment.index, metrics)
             if not physical.is_full_scan:
                 all_null = False
-            merged.extend(
-                segment.candidates(logical, policy, disk, metrics, kernel)
-            )
+            merged.extend(segment.candidates(physical, disk, metrics, kernel))
         if all_null and not self.has_deletions:
             return None
         merged.sort()
@@ -357,14 +351,14 @@ class SegmentedFreeEngine(FreeEngine):
         # exhaustive, which is always sound.
         from repro.obs.trace import maybe_span
 
-        logical, _physical = self.plan(pattern, metrics)
         trace = metrics.trace if metrics is not None else None
+        with maybe_span(trace, "plan"):
+            plans = self._compiled_plans(pattern, metrics, trace)
         with maybe_span(
             trace, "postings", segments=len(self.seg_index.segments)
         ):
             return self.seg_index.candidates(
-                logical, self.cover_policy, self.disk, metrics,
-                kernel=self.kernel,
+                plans, self.disk, metrics, kernel=self.kernel
             )
 
     def explain(
@@ -377,16 +371,13 @@ class SegmentedFreeEngine(FreeEngine):
 
         Per-segment plans legitimately differ: each segment compiles
         against its own key directory (a gram useful in one segment may
-        be useless in another).
+        be useless in another).  The plans shown are the cached ones
+        queries execute.
         """
-        from repro.plan.physical import PhysicalPlan
-
-        logical, _ = self.plan(pattern)
-        parts = [logical.pretty()]
+        plans = self._compiled_plans(pattern)
+        parts = [plans.logical.pretty()]
         for ordinal, segment in enumerate(self.seg_index.segments):
-            physical = PhysicalPlan.compile(
-                logical, segment.index, self.cover_policy
-            )
+            physical = plans.physical(segment.index)
             if physical.is_full_scan:
                 parts.append(f"segment {ordinal}: segment-scan")
             else:

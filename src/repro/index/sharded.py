@@ -50,8 +50,7 @@ from repro.metrics import QueryMetrics
 
 if TYPE_CHECKING:  # plan layer imports this package: defer.
     from repro.index.kernels import PostingsKernel
-    from repro.plan.logical import LogicalPlan
-    from repro.plan.physical import CoverPolicy
+    from repro.plan.physical import CompiledPlans
 
 
 def shard_ranges(n_docs: int, n_shards: int) -> List[Tuple[int, int]]:
@@ -202,13 +201,13 @@ class ShardedIndex:
     def shard_candidates(
         self,
         ordinal: int,
-        logical: "LogicalPlan",
-        policy: "CoverPolicy",
+        plans: "CompiledPlans",
         metrics: Optional[QueryMetrics] = None,
         first_k: Optional[int] = None,
         kernel: Optional["PostingsKernel"] = None,
     ) -> Tuple[Optional[List[int]], QueryMetrics]:
-        """One shard's global candidate ids for ``logical``.
+        """One shard's global candidate ids under the physical plan
+        ``plans`` holds for the shard's index (compiled on first use).
 
         Returns ``(ids, shard_metrics)`` where ``ids`` is ``None`` when
         the shard's physical plan collapsed to a full scan of the shard
@@ -225,11 +224,10 @@ class ShardedIndex:
         truncated shard alone contributes ``first_k`` ids.
         """
         from repro.engine.executor import execute_plan
-        from repro.plan.physical import PhysicalPlan
 
         shard = self.shards[ordinal]
         shard_metrics = metrics if metrics is not None else QueryMetrics()
-        physical = PhysicalPlan.compile(logical, shard.index, policy)
+        physical = plans.physical(shard.index)
         if physical.is_full_scan:
             return None, shard_metrics
         local = execute_plan(
@@ -247,8 +245,7 @@ class ShardedIndex:
 
     def candidates(
         self,
-        logical: "LogicalPlan",
-        policy: Union["CoverPolicy", str] = "all",
+        plans: "CompiledPlans",
         disk: Optional[DiskModel] = None,
         metrics: Optional[QueryMetrics] = None,
         kernel: Optional["PostingsKernel"] = None,
@@ -263,9 +260,8 @@ class ShardedIndex:
         from repro.engine.executor import execute_plan_sharded
 
         return execute_plan_sharded(
-            logical,
+            plans,
             self,
-            policy,
             pool=None,
             disk=disk,
             metrics=metrics,

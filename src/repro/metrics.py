@@ -127,7 +127,8 @@ class QueryMetrics:
     down the scan path), ``True``/``False`` for hit/miss.
 
     Attributes:
-        plan_cache_hit: compiled logical+physical plan served from LRU.
+        plan_cache_hit: the query compiled no plan — its logical plan
+            and every physical plan it ran came from the plan cache.
         candidate_cache_hit: materialized candidate-id list served
             from LRU (the whole postings phase was skipped).
         matcher_cache_hit: compiled automaton served from LRU.

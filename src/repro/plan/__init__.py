@@ -11,10 +11,11 @@
 from __future__ import annotations
 
 from repro.plan.logical import LogicalPlan
-from repro.plan.physical import PhysicalPlan, CoverPolicy
+from repro.plan.physical import CompiledPlans, PhysicalPlan, CoverPolicy
 from repro.plan.sampling import SampledSelectivityEstimator
 
 __all__ = [
+    "CompiledPlans",
     "LogicalPlan",
     "PhysicalPlan",
     "CoverPolicy",

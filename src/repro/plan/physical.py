@@ -26,13 +26,18 @@ cost-based refinements Section 4.1 leaves to future work, ablated in
 from __future__ import annotations
 
 import enum
+import weakref
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, List, Optional, Tuple, Union
 
 from repro.errors import PlanError
 from repro.index.multigram import GramIndex
+from repro.obs.trace import Trace, maybe_span
 from repro.plan.logical import LogicalPlan
 from repro.regex.rewrite import Req, ReqAnd, ReqAny, ReqGram, ReqOr
+
+if TYPE_CHECKING:
+    from repro.metrics import QueryMetrics
 
 
 class CoverPolicy(str, enum.Enum):
@@ -192,6 +197,58 @@ class PhysicalPlan:
             root=root,
             unavailable_grams=tuple(missing),
         )
+
+
+class CompiledPlans:
+    """One pattern's logical plan plus its physical plan per index part.
+
+    The entry type of the engine's plan cache.  A physical plan is a
+    pure function of (logical plan, cover policy, index contents), so
+    each one is kept against the index object it was compiled for
+    together with that index's ``epoch``: a sealed segment or a shard
+    is planned once for its lifetime, and a plan is never reused for
+    another index object or after its index's epoch moved.  The keys
+    are weak, so a compacted-away segment takes its plans with it
+    instead of being pinned (mmap and all) by the cache.
+    """
+
+    __slots__ = ("logical", "policy", "_physical")
+
+    def __init__(
+        self,
+        logical: LogicalPlan,
+        policy: Union[CoverPolicy, str] = CoverPolicy.ALL,
+    ):
+        self.logical = logical
+        self.policy = CoverPolicy(policy)
+        #: index part -> (its epoch when compiled, the physical plan)
+        self._physical: weakref.WeakKeyDictionary = (
+            weakref.WeakKeyDictionary()
+        )
+
+    def physical(
+        self,
+        index: GramIndex,
+        metrics: Optional["QueryMetrics"] = None,
+        trace: Optional[Trace] = None,
+    ) -> PhysicalPlan:
+        """The physical plan for ``index``, compiled on first use.
+
+        A compile marks ``metrics`` as a plan-cache miss: the query
+        did planning work even if its logical plan was cached.
+        """
+        epoch = getattr(index, "epoch", 0)  # duck-typed indexes: immutable
+        cached = self._physical.get(index)
+        if cached is not None and cached[0] == epoch:
+            return cached[1]
+        if trace is None and metrics is not None:
+            trace = metrics.trace
+        with maybe_span(trace, "physical_plan"):
+            physical = PhysicalPlan.compile(self.logical, index, self.policy)
+        self._physical[index] = (epoch, physical)
+        if metrics is not None:
+            metrics.plan_cache_hit = False
+        return physical
 
 
 def _compile(

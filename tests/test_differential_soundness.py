@@ -29,6 +29,7 @@ from repro.engine.sharded import ShardedFreeEngine
 from repro.index.builder import build_multigram_index
 from repro.index.sharded import ShardedIndex
 from repro.plan.logical import LogicalPlan
+from repro.plan.physical import CompiledPlans
 from repro.regex import ast
 from repro.regex.charclass import CharClass
 from repro.regex.matcher import Matcher
@@ -100,8 +101,9 @@ def test_sharded_candidates_are_superset(node, corpus, n_shards):
     sharded = ShardedIndex.build(
         corpus, n_shards, threshold=0.3, max_gram_len=4
     )
-    logical = LogicalPlan.from_pattern(node)
-    merged = sharded.candidates(logical)
+    merged = sharded.candidates(
+        CompiledPlans(LogicalPlan.from_pattern(node))
+    )
     candidates = (
         set(range(len(corpus))) if merged is None else set(merged)
     )

@@ -27,7 +27,7 @@ from repro.index.serialize import (
 from repro.index.sharded import ShardedIndex
 from repro.metrics import QueryMetrics
 from repro.plan.logical import LogicalPlan
-from repro.plan.physical import CoverPolicy, PhysicalPlan
+from repro.plan.physical import CompiledPlans, CoverPolicy, PhysicalPlan
 
 KERNELS = ["python", "numpy"]
 
@@ -95,10 +95,10 @@ def test_candidates_byte_identical(images, name, kernel):
 @pytest.mark.parametrize("name", sorted(BENCHMARK_QUERIES))
 def test_sharded_candidates_byte_identical(sharded_images, name, kernel):
     v1, v2 = sharded_images
-    logical = LogicalPlan.from_pattern(BENCHMARK_QUERIES[name])
+    plans = CompiledPlans(LogicalPlan.from_pattern(BENCHMARK_QUERIES[name]))
     m1, m2 = QueryMetrics(), QueryMetrics()
-    c1 = execute_plan_sharded(logical, v1, "all", metrics=m1, kernel=kernel)
-    c2 = execute_plan_sharded(logical, v2, "all", metrics=m2, kernel=kernel)
+    c1 = execute_plan_sharded(plans, v1, metrics=m1, kernel=kernel)
+    c2 = execute_plan_sharded(plans, v2, metrics=m2, kernel=kernel)
     assert c1 == c2
     assert _lookup_counts(m1) == _lookup_counts(m2)
 

@@ -10,7 +10,8 @@ which turned two latent bugs into real ones:
 * the plan cache was keyed without the index epoch, so an engine kept
   warm across a mutable index's epoch bump could execute a stale
   physical plan — and silently drop candidates whose grams the
-  mutation removed.
+  mutation removed.  Physical plans are now kept against the index
+  object *and* the epoch they were compiled for.
 """
 
 from __future__ import annotations
@@ -138,31 +139,35 @@ class TestPlanCacheEpoch:
         days while a mutable index (the segmented wrapper) applies
         updates, each bumping ``epoch``.  A stale physical plan can
         reference gram keys a mutation removed — wrong *results*, not
-        just wrong speed — so the epoch rides in the plan-cache key.
+        just wrong speed — so each physical plan is kept with the epoch
+        it was compiled at.
         """
         index = build_multigram_index(small_corpus, threshold=0.3)
         engine = FreeEngine(small_corpus, index)
-        first = engine.plan("stanford")
-        assert engine.plan("stanford") is first  # warm: cached pair
+        _, first = engine.plan("stanford")
+        assert engine.plan("stanford")[1] is first  # warm: cached plan
         # The mutable-index protocol (FREE005): mutate, bump epoch.
         index.epoch = index.epoch + 1
-        replanned = engine.plan("stanford")
+        _, replanned = engine.plan("stanford")
         assert replanned is not first
         # And the new plan is itself cached at the new epoch.
-        assert engine.plan("stanford") is replanned
+        assert engine.plan("stanford")[1] is replanned
 
     def test_stale_epoch_entries_do_not_resurface(self, small_corpus):
         index = build_multigram_index(small_corpus, threshold=0.3)
         engine = FreeEngine(small_corpus, index)
-        at_zero = engine.plan("powerpc")
+        _, at_zero = engine.plan("powerpc")
         index.epoch = 1
-        at_one = engine.plan("powerpc")
+        _, at_one = engine.plan("powerpc")
         index.epoch = 0  # roll back (e.g. snapshot restore)
-        # Epoch 0's entry may legitimately still be cached — but it
-        # must be the *epoch 0* plan, never epoch 1's.
-        assert engine.plan("powerpc") is at_zero
+        # Only the newest epoch's plan is kept per index, so a rollback
+        # re-plans: neither an older plan nor epoch 1's may come back.
+        _, rolled_back = engine.plan("powerpc")
+        assert rolled_back is not at_zero and rolled_back is not at_one
+        assert rolled_back == at_zero  # same contents, same plan
         index.epoch = 1
-        assert engine.plan("powerpc") is at_one
+        _, again = engine.plan("powerpc")
+        assert again is not at_one and again is not rolled_back
 
     def test_search_results_follow_the_epoch(self, small_corpus):
         """End to end: post-bump searches reflect re-planning."""

@@ -16,7 +16,7 @@ from repro.index.ingest import IngestDirectory, is_segment_file
 from repro.index.segmented import SegmentedFreeEngine
 from repro.obs.registry import MetricsRegistry
 from repro.plan.logical import LogicalPlan
-from repro.plan.physical import CoverPolicy
+from repro.plan.physical import CompiledPlans
 
 BUILDER = MultigramIndexBuilder(threshold=0.3, max_gram_len=5)
 
@@ -134,9 +134,9 @@ def test_unlinked_segment_stays_readable(tmp_path):
         assert not set(old_names) & set(remaining)
         # ...but the held snapshot still serves lookups and candidate
         # queries out of the unlinked mmaps.
-        logical = LogicalPlan.from_pattern("cat")
+        plans = CompiledPlans(LogicalPlan.from_pattern("cat"), "all")
         for segment in old_segments:
-            candidates = segment.candidates(logical, CoverPolicy("all"))
+            candidates = segment.candidates(plans.physical(segment.index))
             for gid in candidates:
                 assert gid in segment.global_ids
             assert list(segment.index.keys()) is not None

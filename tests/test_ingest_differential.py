@@ -21,6 +21,7 @@ from repro.index.segmented import SegmentedFreeEngine
 from repro.regex import Matcher
 from repro.obs.registry import MetricsRegistry
 from repro.plan.logical import LogicalPlan
+from repro.plan.physical import CompiledPlans
 
 BUILDER = MultigramIndexBuilder(threshold=0.5, max_gram_len=3)
 
@@ -41,8 +42,9 @@ OPS = st.lists(
 )
 
 
-def apply_ops(directory, ops):
-    """Drive the directory and a dict model through the same ops."""
+def apply_ops(directory, ops, after_op=None):
+    """Drive the directory and a dict model through the same ops;
+    ``after_op(model)`` runs after each one when given."""
     model = {}
     for op, arg in ops:
         if op == "add":
@@ -61,6 +63,8 @@ def apply_ops(directory, ops):
             directory.seal()
         elif op == "compact":
             directory.compact()
+        if after_op is not None:
+            after_op(model)
     return model
 
 
@@ -74,7 +78,7 @@ def check_candidates_sound(directory, model):
             if matcher.count(text) > 0
         }
         candidates = directory.index.candidates(
-            LogicalPlan.from_pattern(pattern)
+            CompiledPlans(LogicalPlan.from_pattern(pattern))
         )
         assert candidates is not None  # sparse ids: never "scan all"
         assert truth <= set(candidates) <= live
@@ -142,6 +146,49 @@ def test_ingest_differential_property(ops):
             assert survivors == model
             check_candidates_sound(reopened, model)
             check_search_identical(reopened, model)
+    finally:
+        shutil.rmtree(tmpdir, ignore_errors=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ops=OPS)
+def test_warm_engine_tracks_every_op(ops):
+    """One engine, held open across the whole op stream, answers like
+    the dict model after every op.
+
+    Its plan cache stays warm throughout, so this is the property that
+    plans cached per segment never outlive what they were compiled
+    for: seals and compactions mount new segments under the engine,
+    and tombstones and the memtable change between queries.
+    """
+    matchers = {pattern: Matcher(pattern) for pattern in PATTERNS}
+
+    tmpdir = tempfile.mkdtemp(prefix="free-ingest-warm-")
+    try:
+        with IngestDirectory(
+            tmpdir,
+            builder=BUILDER,
+            memtable_docs=3,
+            fanout=2,
+            auto_compact=True,
+            registry=MetricsRegistry(),
+        ) as directory, SegmentedFreeEngine(
+            directory.corpus, directory.index, registry=MetricsRegistry()
+        ) as engine:
+
+            def check(model):
+                for pattern, matcher in matchers.items():
+                    expected = sorted(
+                        (doc_id, start, end)
+                        for doc_id, text in model.items()
+                        for start, end in matcher.finditer(text)
+                    )
+                    report = engine.search(pattern)
+                    assert sorted(
+                        (m.doc_id, m.start, m.end) for m in report.matches
+                    ) == expected
+
+            check(apply_ops(directory, ops, after_op=check))
     finally:
         shutil.rmtree(tmpdir, ignore_errors=True)
 

@@ -10,7 +10,7 @@ reference, so there is nothing to compare).
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 np = pytest.importorskip("numpy")
 
@@ -125,6 +125,9 @@ def test_intersect_cursors_matches_python(id_lists, block_size, limit):
     st.lists(edge_ids(), min_size=1, max_size=3),
     st.one_of(st.none(), st.integers(0, 10)),
 )
+# A block whose cumulative sum wraps past 2**63 by exactly one step: the
+# wrapped difference is positive again, so only a sign test catches it.
+@example(id_lists=[[0, 1, 2, 3, 2**63 - 4, 2**63 - 3, 2**63]] * 2, limit=None)
 def test_intersect_cursors_edge_ids_match_python(id_lists, limit):
     assert NumpyKernel().intersect_cursors(_cursors(id_lists, 4), limit) \
         == PY.intersect_cursors(_cursors(id_lists, 4), limit)

@@ -13,6 +13,7 @@ from repro.index.segmented import (
     SegmentedGramIndex,
 )
 from repro.plan.logical import LogicalPlan
+from repro.plan.physical import CompiledPlans
 
 
 def corpus_of(*texts):
@@ -92,8 +93,8 @@ class TestQueryEquivalence:
         texts = ["xy here", "aaa", "bbb", "ccc"] + ["xy common"] * 4
         corpus = corpus_of(*texts)
         seg = seg_index_over(corpus, segment_docs=4)
-        logical = LogicalPlan.from_pattern("xy")
-        candidates = seg.candidates(logical)
+        plans = CompiledPlans(LogicalPlan.from_pattern("xy"))
+        candidates = seg.candidates(plans)
         assert candidates is not None  # segment 1 can filter
         truth = {u.doc_id for u in corpus if "xy" in u.text}
         assert truth <= set(candidates)
