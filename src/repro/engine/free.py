@@ -120,7 +120,6 @@ class FreeEngine:
         corpus: the data units.
         index: a :class:`GramIndex`; None turns this engine into the
             raw-scan baseline.
-        backend: matcher backend, "dfa" (default) or "re".
         disk: simulated disk for I/O cost accounting (fresh one made if
             omitted).
         cover_policy: how pruned grams map to lookups (Section 4.3).
@@ -156,7 +155,6 @@ class FreeEngine:
         self,
         corpus: CorpusStore,
         index: Optional[GramIndex] = None,
-        backend: str = "dfa",
         disk: Optional[DiskModel] = None,
         cover_policy: Union[CoverPolicy, str] = CoverPolicy.ALL,
         min_candidate_ratio: Optional[float] = None,
@@ -168,7 +166,6 @@ class FreeEngine:
         kernel: Optional[Union[str, PostingsKernel]] = None,
     ):
         self.corpus = corpus
-        self.backend = backend
         self.disk = disk if disk is not None else DiskModel()
         self.cover_policy = CoverPolicy(cover_policy)
         self.min_candidate_ratio = min_candidate_ratio
@@ -675,7 +672,7 @@ class FreeEngine:
                 metrics.matcher_cache_hit = False
             trace = metrics.trace if metrics is not None else None
             with maybe_span(trace, "matcher"):
-                matcher = Matcher(pattern, backend=self.backend)
+                matcher = Matcher(pattern)
             self._matcher_cache.put(pattern, matcher)
         elif metrics is not None:
             metrics.matcher_cache_hit = True

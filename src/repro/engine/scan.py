@@ -23,7 +23,6 @@ class ScanEngine(FreeEngine):
     def __init__(
         self,
         corpus: CorpusStore,
-        backend: str = "dfa",
         disk: Optional[DiskModel] = None,
     ):
-        super().__init__(corpus, index=None, backend=backend, disk=disk)
+        super().__init__(corpus, index=None, disk=disk)

@@ -162,7 +162,6 @@ class ShardedFreeEngine(FreeEngine):
         sharded_index: ShardedIndex,
         workers: int = 1,
         pool: Union[str, Executor] = "process",
-        backend: str = "dfa",
         disk: Optional[DiskModel] = None,
         cover_policy: Union[CoverPolicy, str] = CoverPolicy.ALL,
         min_candidate_ratio: Optional[float] = None,
@@ -190,7 +189,6 @@ class ShardedFreeEngine(FreeEngine):
         super().__init__(
             corpus,
             index=None,
-            backend=backend,
             disk=disk,
             cover_policy=cover_policy,
             min_candidate_ratio=min_candidate_ratio,

@@ -297,7 +297,6 @@ class SegmentedFreeEngine(FreeEngine):
         self,
         corpus: CorpusStore,
         seg_index: SegmentedGramIndex,
-        backend: str = "dfa",
         disk: Optional[DiskModel] = None,
         cover_policy: Union["CoverPolicy", str] = "all",
         distribute: bool = False,
@@ -319,7 +318,6 @@ class SegmentedFreeEngine(FreeEngine):
         super().__init__(
             corpus,
             index=None,
-            backend=backend,
             disk=disk,
             cover_policy=cover_policy,
             min_candidate_ratio=min_candidate_ratio,

@@ -10,7 +10,8 @@ of Table 1 of the paper (plus the ``{m,n}`` counted repetition the
 - :mod:`repro.regex.nfa` — Thompson construction (AST -> epsilon-NFA);
 - :mod:`repro.regex.dfa` — subset construction and Hopcroft minimization;
 - :mod:`repro.regex.matcher` — corpus-oriented substring matching, with a
-  literal *anchoring* prefilter and an optional stdlib-``re`` backend;
+  literal *anchoring* prefilter (and ``to_stdlib_pattern``, the
+  translation the test suite's stdlib-``re`` oracle uses);
 - :mod:`repro.regex.rewrite` — OR/STAR normal form and literal analysis
   used by the query planner.
 """

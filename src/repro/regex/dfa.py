@@ -23,9 +23,10 @@ Table layout.  A state is stored as its row offset ``id * n_blocks``, so
 no multiplication happens per character.  Offset 0 is the *dead* state
 (its row loops on 0, it never accepts).
 
-* The eager :class:`DFA` orders its states dead, accepting, rest;
-  ``limit`` is the last accepting offset, so ``state <= limit`` means
-  "dead or accepting".
+* The eager :class:`DFA` orders its states dead, accepting, skippable,
+  rest; ``limit`` is the last accepting offset, so ``state <= limit``
+  means "dead or accepting", and ``skip_limit`` is the last skippable
+  offset (see below).
 * The :class:`LazyDFA` cannot order states it has not met.  Its
   ``limit`` is 0, an entry that leads to an accepting state holds the
   *negated* offset, and an entry not computed yet holds
@@ -35,11 +36,31 @@ no multiplication happens per character.  Offset 0 is the *dead* state
 Every entry that leads to one state is the same ``int`` object, so the
 table costs a pointer (8 bytes) per entry.
 
+Skipping stay-put runs.  A *skippable* state loops back to itself on
+some blocks and leaves on others (for the start state a dead target
+counts as staying, because the search restarts there).  Its *escape
+class*, the blocks that leave it, compiles on first use to a one-class
+bytes regex whose ``search`` finds the next escape in C; a single
+character class cannot backtrack, so the scan stays linear.  While some
+skippable state is on, ``first_accept_end`` walks with ``state <=
+skip_limit`` in place of ``state <= limit`` (one comparison still, so a
+character costs nothing extra) and jumps to the next escape of each
+skippable state it enters.  Where jumps are short the jump costs more
+than the walk: a jump shorter than :data:`SKIP_MIN_JUMP` is followed by
+:data:`SKIP_COOLDOWN` characters of plain walk, and a state whose mean
+jump over :data:`SKIP_SAMPLE` jumps stays under :data:`SKIP_MIN_JUMP`
+is switched off for good.  ``skip_limit`` drops below every switched-off
+state that no state still on lies above (the start state, entered most
+often, is laid out last), and once it is back at ``limit`` the scan is
+the plain walk again.  The decision is made only from the jump lengths
+the scan sees and is kept on the kernel, across calls.
+
 The three scanning primitives the matcher needs take a translated unit
 (a ``memoryview``, so the tail a scan starts from is sliced, not copied):
 
 * ``first_accept_end(data, start)`` — earliest position where an accept
-  state is entered (used with the ``Σ* r`` search automaton);
+  state is entered (used with the ``Σ* r`` search automaton; the only
+  one that skips);
 * ``last_accept_backward(data, end, lo)`` — smallest start of a match
   ending at ``end`` (used with the reversed automaton);
 * ``last_accept_forward(data, start)`` — largest end of a match starting
@@ -48,7 +69,10 @@ The three scanning primitives the matcher needs take a translated unit
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+import re
+from typing import (
+    Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple,
+)
 
 from repro.errors import InternalError
 from repro.regex.charclass import CharClass, partition_classes
@@ -64,6 +88,17 @@ UNFILLED = -1
 
 #: Lazy cache flush threshold: number of materialized subset states.
 LAZY_STATE_CACHE_LIMIT = 20_000
+
+#: A jump over fewer characters than this costs more than walking them.
+SKIP_MIN_JUMP = 24
+
+#: Characters walked without jumping after a short jump.
+SKIP_COOLDOWN = 256
+
+#: Jumps per state between two verdicts on its mean jump length.
+SKIP_SAMPLE = 16
+
+_NONE_OFF: FrozenSet[int] = frozenset()
 
 #: UTF-8 continuation bytes.  Deleting them leaves one byte per
 #: character: an ASCII character's own, or a lead byte >= 0xC0.
@@ -119,12 +154,15 @@ class ScanKernel:
             docstring for how dead, accepting and unfilled targets are
             told apart).
         limit: ``flat`` entries ``<= limit`` need the slow path.
+        skip_limit: offsets in ``(limit, skip_limit]`` are skippable
+            states that are not switched off (``== limit``: none).
         start: offset of the start state.
         start_accepts: whether the start state accepts.
     """
 
     __slots__ = (
-        "alphabet", "n_blocks", "flat", "limit", "start", "start_accepts",
+        "alphabet", "n_blocks", "flat", "limit", "skip_limit", "start",
+        "start_accepts", "_jumps", "_skips_off",
     )
 
     def __init__(
@@ -134,17 +172,55 @@ class ScanKernel:
         limit: int,
         start: int,
         start_accepts: bool,
+        skip_limit: Optional[int] = None,
     ):
         self.alphabet = alphabet
         self.n_blocks = alphabet.n_blocks
         self.flat = flat
         self.limit = limit
+        self.skip_limit = limit if skip_limit is None else skip_limit
         self.start = start
         self.start_accepts = start_accepts
+        #: skippable state -> [escape search, jumps, characters jumped]
+        #: since its last verdict; made on the kernel's first jump.
+        self._jumps: Optional[Dict[int, list]] = None
+        #: skippable states switched off (replaced, never mutated).
+        self._skips_off: FrozenSet[int] = _NONE_OFF
 
     @property
     def state_count(self) -> int:
         return len(self.flat) // self.n_blocks
+
+    def escape_blocks(self, state: int) -> bytes:
+        """The block ids that take ``state`` elsewhere, ascending (for
+        the start state, dead targets stay: the search restarts there)."""
+        row = self.flat[state:state + self.n_blocks]
+        stay = (state, 0) if state == self.start else (state,)
+        return bytes(b for b, target in enumerate(row) if target not in stay)
+
+    def _jump(self, state: int) -> list:
+        """The jump record of the skippable ``state``, compiling its
+        escape class on first use."""
+        jumps = self._jumps
+        if jumps is None:
+            jumps = self._jumps = {}
+        jump = jumps.get(state)
+        if jump is None:
+            escape = re.compile(b"[%s]" % re.escape(self.escape_blocks(state)))
+            jump = jumps[state] = [escape.search, 0, 0]
+        return jump
+
+    def _switch_off(self, state: int) -> None:
+        """Stop jumping from ``state``; drop it from ``skip_limit`` if no
+        state still on lies above it."""
+        off = self._skips_off | {state}
+        self._skips_off = off
+        if self._jumps is not None:
+            self._jumps.pop(state, None)
+        top = self.skip_limit
+        while top > self.limit and top in off:
+            top -= self.n_blocks
+        self.skip_limit = top
 
     def _fill(self, src: int, block: int) -> int:
         """Compute, store and return the :data:`UNFILLED` entry
@@ -165,11 +241,14 @@ class ScanKernel:
         """Earliest i >= start such that an accept state is entered after
         consuming data[start:i]; -1 if never.  On the dead state the scan
         restarts from the automaton start (only foreign characters can
-        kill a ``Σ* r`` search automaton, and no match crosses them)."""
+        kill a ``Σ* r`` search automaton, and no match crosses them).
+        While some skippable state is on, :meth:`_skip_scan` does it."""
         if self.start_accepts:
             return start
         flat = self.flat
         limit = self.limit
+        if self.skip_limit != limit:
+            return self._skip_scan(data, start)
         state = restart = self.start
         for i, block in enumerate(data[start:], start + 1):
             src = state
@@ -183,6 +262,65 @@ class ScanKernel:
                     return i
                 state = restart
         return -1
+
+    def _skip_scan(self, data: memoryview, pos: int) -> int:
+        """:meth:`first_accept_end` with ``state <= skip_limit`` as the
+        walk's test, so that entering a skippable state that is on jumps
+        to its next escape (eager tables only: a lazy one keeps
+        ``skip_limit == limit``)."""
+        flat = self.flat
+        limit = self.limit
+        skip_limit = self.skip_limit
+        state = restart = self.start
+        start_skips = limit < restart <= skip_limit
+        off = self._skips_off
+        n = len(data)
+        jump_now = start_skips and restart not in off
+        while True:
+            if jump_now:
+                jump = self._jump(state)
+                found = jump[0](data, pos)
+                end = n if found is None else found.start()
+                jump[1] += 1
+                jump[2] += end - pos
+                if jump[1] >= SKIP_SAMPLE:
+                    if jump[2] < SKIP_SAMPLE * SKIP_MIN_JUMP:
+                        self._switch_off(state)
+                    else:
+                        jump[1] = jump[2] = 0
+                if found is None:
+                    return -1
+                off = self._skips_off
+                if end - pos < SKIP_MIN_JUMP:
+                    # Too short to pay: walk a stretch without jumping.
+                    pos = end + SKIP_COOLDOWN
+                    for i, block in enumerate(data[end:pos], end + 1):
+                        state = flat[state + block]
+                        if state <= limit:
+                            if state:
+                                return i
+                            state = restart
+                    if pos >= n:
+                        return -1
+                    if limit < state <= skip_limit and state not in off:
+                        continue
+                else:
+                    pos = end
+            for i, block in enumerate(data[pos:], pos + 1):
+                state = flat[state + block]
+                if state <= skip_limit:
+                    if state <= limit:
+                        if state:
+                            return i
+                        state = restart
+                        if not start_skips:
+                            continue
+                    if state not in off:
+                        pos = i
+                        break
+            else:
+                return -1
+            jump_now = True
 
     def last_accept_backward(
         self, data: memoryview, end: int, lo: int
@@ -238,8 +376,9 @@ class ScanKernel:
 class DFA(ScanKernel):
     """A dense, fully-materialized deterministic automaton.
 
-    States are laid out dead, accepting, rest: a state accepts iff
-    ``0 < state <= limit``.
+    States are laid out dead, accepting, skippable, rest: a state accepts
+    iff ``0 < state <= limit`` and skips iff ``limit < state <=
+    skip_limit`` (until it is switched off).
     """
 
     __slots__ = ()
@@ -337,16 +476,42 @@ def _lay_out(
     alphabet: BlockAlphabet,
 ) -> DFA:
     """Emit the flat table, one row per group of states, ordered dead,
-    accepting, rest.  State 0 is dead, so its group gets offset 0."""
+    accepting, skippable, rest.  State 0 is dead, so its group gets
+    offset 0."""
+    dead = group_of[0]
+    start_group = group_of[start]
     rep_of: Dict[int, int] = {}
+    members: Dict[int, Set[int]] = {}
     for state, group in enumerate(group_of):
         rep_of.setdefault(group, state)
-    dead = group_of[0]
-    accept = [g for g, rep in rep_of.items() if accepting[rep]]
-    rest = [
-        g for g, rep in rep_of.items() if not accepting[rep] and g != dead
-    ]
-    order = [dead] + accept + rest
+        members.setdefault(group, set()).add(state)
+    accept: List[int] = []
+    skip: List[int] = []
+    rest: List[int] = []
+    start_skips = False
+    for group, rep in rep_of.items():
+        if accepting[rep]:
+            accept.append(group)
+        elif group == dead:
+            continue
+        elif group == start_group:
+            # a dead target stays too (the search restarts here), so
+            # the start skips if any other target leaves
+            start_skips = not (
+                members[group] | members[dead]
+            ).issuperset(rows[rep])
+            if not start_skips:
+                rest.append(group)
+        elif members[group].isdisjoint(rows[rep]):
+            rest.append(group)
+        else:
+            # leaves on the foreign block and stays on some other block
+            skip.append(group)
+    # The start state is entered most often: last among the skippable,
+    # so that switching it off lowers skip_limit.
+    if start_skips:
+        skip.append(start_group)
+    order = [dead] + accept + skip + rest
     n_blocks = alphabet.n_blocks
     # One int object per state: every entry that leads to it shares it.
     offset_of_group = {g: i * n_blocks for i, g in enumerate(order)}
@@ -354,12 +519,14 @@ def _lay_out(
     flat: List[int] = []
     for group in order:
         flat.extend([offset_of[t] for t in rows[rep_of[group]]])
+    limit = len(accept) * n_blocks
     return DFA(
         alphabet,
         flat,
-        limit=len(accept) * n_blocks,
+        limit=limit,
         start=offset_of[start],
         start_accepts=accepting[start],
+        skip_limit=limit + len(skip) * n_blocks,
     )
 
 
@@ -374,6 +541,13 @@ class LazyDFA(ScanKernel):
     constant factor (the RE2 approach to DFA state blowup).  A flush
     empties ``flat`` in place, so a scan in progress keeps walking the
     same list; the dead and start states keep their offsets.
+
+    A lazy table does not skip (``skip_limit == limit``, the plain walk).
+    It cannot order states it has not met, so spotting a skippable one
+    would cost a second test per entry, and it would not pay: the one
+    lazy pattern of the benchmark queries (``sigmod``) confirms a page or
+    two, and its scan time goes to filling entries (about 7 ms on its
+    candidate page), not to walking them (about 0.05 ms).
     """
 
     __slots__ = (

@@ -18,11 +18,18 @@ per call and then only walked (:mod:`repro.regex.dfa`):
 * the **forward automaton** for ``r``, run from that start, extends to
   the *longest* end.
 
-This yields leftmost-longest (POSIX) non-overlapping matches in linear
-time — the same discipline RE2 uses.  Small patterns get eager,
-minimized DFAs; patterns whose subset construction would blow up (large
-counted repetitions under an unanchored search, e.g. ``.{0,200}`` in the
-``sigmod`` benchmark query) automatically fall back to the lazy DFA.
+So each span is the *earliest-ending* match, widened to the leftmost
+start for that end and then to the longest end from that start, found
+in linear time with the three-automaton discipline RE2 uses.  Earliest
+end comes first, so this is not POSIX leftmost-longest: ``abcd|bc``
+over ``abcd`` yields ``(1, 3)``, not ``(0, 4)``.
+
+Small patterns get eager, minimized DFAs; patterns whose subset
+construction would blow up (large counted repetitions under an
+unanchored search, e.g. ``.{0,200}`` in the ``sigmod`` benchmark query)
+automatically fall back to the lazy DFA.  An eager search automaton
+skips runs of characters that leave it where it is at C speed
+(:class:`repro.regex.dfa.ScanKernel`).
 
 On top sits an *anchoring* prefilter (the lightweight cousin of the
 technique in the extended version of the paper): a covering literal set
@@ -69,24 +76,17 @@ class Matcher:
 
     Args:
         pattern: pattern text or an already-parsed AST.
-        backend: ``"dfa"`` (default; the from-scratch engine) or
-            ``"re"`` (translate to a stdlib pattern — an accelerated
-            execution backend whose containment behaviour is
-            property-tested equal to the DFA backend).
         anchoring: enable the covering-literal prefilter in
             :meth:`contains`.
     """
 
-    def __init__(self, pattern, backend: str = "dfa", anchoring: bool = True):
+    def __init__(self, pattern, anchoring: bool = True):
         if isinstance(pattern, str):
             self.pattern = pattern
             self.ast = parse(pattern)
         else:
             self.ast = pattern
             self.pattern = pattern.to_pattern()
-        if backend not in ("dfa", "re"):
-            raise ValueError(f"unknown backend {backend!r}")
-        self.backend = backend
         self.anchoring = anchoring
 
         req = requirement_tree(self.ast)
@@ -98,23 +98,17 @@ class Matcher:
             anchor_clauses(req) if anchoring else ()
         )
 
-        if backend == "re":
-            self._re = _stdlib_re.compile(to_stdlib_pattern(self.ast))
-            self._alphabet = None
-            self._search = self._forward = self._reverse = None
-        else:
-            self._re = None
-            search_ast = ast_.concat(ast_.Star(ast_.Char(DOT)), self.ast)
-            nfas = [
-                build_nfa(node)
-                for node in (search_ast, self.ast, reverse_ast(self.ast))
-            ]
-            # The search NFA carries every class of the other two (and
-            # the dot, which splits nothing).
-            self._alphabet = BlockAlphabet(nfas[0].classes())
-            self._search, self._forward, self._reverse = (
-                _compile_automaton(nfa, self._alphabet) for nfa in nfas
-            )
+        search_ast = ast_.concat(ast_.Star(ast_.Char(DOT)), self.ast)
+        nfas = [
+            build_nfa(node)
+            for node in (search_ast, self.ast, reverse_ast(self.ast))
+        ]
+        # The search NFA carries every class of the other two (and the
+        # dot, which splits nothing).
+        self._alphabet = BlockAlphabet(nfas[0].classes())
+        self._search, self._forward, self._reverse = (
+            _compile_automaton(nfa, self._alphabet) for nfa in nfas
+        )
 
     # -- public API -----------------------------------------------------
 
@@ -138,23 +132,20 @@ class Matcher:
         """True iff some substring of ``text`` matches the pattern."""
         if self.prefilter_rejects(text):
             return False
-        if self._re is not None:
-            return self._re.search(text) is not None
         data = self._alphabet.translate(text)
         return self._search.first_accept_end(data, 0) >= 0
 
     def search(self, text: str, start: int = 0) -> Optional[Tuple[int, int]]:
-        """First leftmost-longest match span at or after ``start``."""
+        """The first span :meth:`finditer` yields from ``start``."""
         for span in self.finditer(text, start):
             return span
         return None
 
     def finditer(self, text: str, start: int = 0) -> Iterator[Tuple[int, int]]:
-        """Yield non-overlapping leftmost-longest match spans."""
-        if self._re is not None:
-            for m in self._re.finditer(text, start):
-                yield m.span()
-            return
+        """Yield non-overlapping match spans from ``start`` on: the
+        earliest match end, the leftmost start of a match ending there,
+        the longest match from that start; then on from its end (one
+        further after an empty match)."""
         data = self._alphabet.translate(text)
         first_end = self._search.first_accept_end
         leftmost = self._reverse.last_accept_backward
@@ -190,21 +181,19 @@ class Matcher:
 
     def fullmatch(self, text: str) -> bool:
         """True iff the entire ``text`` matches the pattern."""
-        if self._re is not None:
-            return self._re.fullmatch(text) is not None
         return self._forward.accepts(text)
 
     def __repr__(self) -> str:
-        return f"Matcher({self.pattern!r}, backend={self.backend!r})"
+        return f"Matcher({self.pattern!r})"
 
 
-def compile_matcher(pattern: str, backend: str = "dfa") -> Matcher:
+def compile_matcher(pattern: str) -> Matcher:
     """Convenience wrapper: parse and compile ``pattern``."""
-    return Matcher(pattern, backend=backend)
+    return Matcher(pattern)
 
 
 # --------------------------------------------------------------------------
-# Translation to the stdlib dialect (accelerated backend + test oracle)
+# Translation to the stdlib dialect (the test oracle's translator)
 # --------------------------------------------------------------------------
 
 def to_stdlib_pattern(node: ast_.Node) -> str:

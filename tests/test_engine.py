@@ -1,5 +1,7 @@
 """End-to-end engine tests: FREE vs Scan equivalence, first-k, ranking."""
 
+import re
+
 import pytest
 
 from repro import (
@@ -10,6 +12,8 @@ from repro import (
     build_multigram_index,
 )
 from repro.bench.queries import BENCHMARK_QUERIES, NULL_PLAN_QUERIES
+from repro.regex.matcher import to_stdlib_pattern
+from repro.regex.parser import parse
 
 
 def make_corpus():
@@ -252,10 +256,12 @@ class TestIOAccounting:
 
 class TestReBackendEngine:
     def test_re_backend_equivalent(self, tiny):
+        """Matching units agree with stdlib ``re`` over every unit."""
         corpus, index = tiny
-        dfa_engine = FreeEngine(corpus, index, backend="dfa")
-        re_engine = FreeEngine(corpus, index, backend="re")
+        engine = FreeEngine(corpus, index)
         for pattern in ("cat", "motorola.*(xpc|mpc)[0-9]+"):
-            a = dfa_engine.search(pattern, collect_matches=False)
-            b = re_engine.search(pattern, collect_matches=False)
-            assert a.n_matches == b.n_matches
+            oracle = re.compile(to_stdlib_pattern(parse(pattern)))
+            report = engine.search(pattern, collect_matches=False)
+            assert report.matching_units == sum(
+                oracle.search(unit.text) is not None for unit in corpus
+            )

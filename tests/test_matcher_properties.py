@@ -9,18 +9,20 @@ NFA -> eager DFA -> lazy DFA must all define the same language).
 
 Oracle 3: ``finditer`` spans against a reference built from
 per-character ``NFA.step`` simulation, for the scan kernel over an eager
-table and over a lazily filled one.
+table and over a lazily filled one, and for the eager search
+automaton's skips: forced at every opportunity, adaptive, and off.
 """
 
 from __future__ import annotations
 
+import contextlib
 import re
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.regex import ast, matcher as matcher_module
+from repro.regex import ast, dfa as dfa_module, matcher as matcher_module
 from repro.regex.charclass import DOT, CharClass
 from repro.regex.dfa import DFA, LazyDFA, build_dfa
 from repro.regex.matcher import Matcher, to_stdlib_pattern
@@ -61,7 +63,7 @@ texts = st.text(alphabet=ALPHABET, max_size=14)
 @settings(max_examples=150, deadline=None)
 @given(node=asts(), text=texts)
 def test_containment_matches_stdlib(node, text):
-    ours = Matcher(node, backend="dfa")
+    ours = Matcher(node)
     oracle = re.compile(to_stdlib_pattern(node))
     assert ours.contains(text) == (oracle.search(text) is not None)
 
@@ -69,7 +71,7 @@ def test_containment_matches_stdlib(node, text):
 @settings(max_examples=150, deadline=None)
 @given(node=asts(), text=texts)
 def test_fullmatch_matches_stdlib(node, text):
-    ours = Matcher(node, backend="dfa")
+    ours = Matcher(node)
     oracle = re.compile(to_stdlib_pattern(node))
     assert ours.fullmatch(text) == (oracle.fullmatch(text) is not None)
 
@@ -93,13 +95,17 @@ def reference_spans(node, text, start):
     that start; then on from its end (one further after an empty match).
     """
     nfa = build_nfa(node)
+    steps = {}  # (subset, character) -> NFA.step: long texts stay cheap
     n = len(text)
     ends_from = []
     for s in range(n + 1):
         current = nfa.epsilon_closure({nfa.start})
         ends = {s} if nfa.accept in current else set()
         for i in range(s, n):
-            current = nfa.step(current, text[i])
+            key = (current, text[i])
+            if key not in steps:
+                steps[key] = nfa.step(current, text[i])
+            current = steps[key]
             if not current:
                 break
             if nfa.accept in current:
@@ -146,24 +152,122 @@ def test_kernel_spans_match_nfa_reference(automaton, node, text, data):
     assert ours.contains(text) == bool(reference_spans(node, text, 0))
 
 
+#: Long texts over a skewed alphabet: runs of ``d`` and spaces (in the
+#: engine alphabet, in no pattern class, so a search automaton mostly
+#: stays put on them), the pattern's letters now and then, and runs of
+#: one- and several-byte foreign characters.
+long_texts = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from("dd "), st.integers(1, 60)),
+        st.tuples(st.sampled_from(ALPHABET), st.integers(1, 3)),
+        st.tuples(
+            st.sampled_from(["\u00e9", "\U0001f600", "\x00", "\x7f"]),
+            st.integers(1, 5),
+        ),
+    ).map(lambda run: run[0] * run[1]),
+    min_size=6,
+    max_size=20,
+).map("".join)
+
+#: Patterns that do not match the empty string (a search for one stops
+#: at once), some with ``.*`` or ``[^a]*`` gaps between two parts, which
+#: give the search automaton skippable states past the start.
+gapped_asts = st.one_of(
+    asts(6),
+    st.tuples(asts(3), asts(3)).map(
+        lambda t: ast.concat(t[0], ast.Star(ast.Char(DOT)), t[1])
+    ),
+    st.tuples(asts(3), asts(3)).map(
+        lambda t: ast.concat(
+            t[0], ast.Star(ast.Char(CharClass("a").negate())), t[1]
+        )
+    ),
+).filter(lambda node: not build_nfa(node).accepts(""))
+
+#: The skip constants each regime patches.  Forced: no jump is short, so
+#: none is followed by a cooldown or switches a state off (a drawn subset
+#: of the states starts off, so the walk also enters skippable states
+#: from a start state that does not skip).  Adaptive: small enough that
+#: short texts reach cooldowns and switch-offs.  Off: every state is
+#: switched off before the scan, so the constants do not matter.
+SKIP_REGIMES = {
+    "forced": {"SKIP_MIN_JUMP": 0, "SKIP_COOLDOWN": 0, "SKIP_SAMPLE": 1 << 30},
+    "adaptive": {"SKIP_MIN_JUMP": 6, "SKIP_COOLDOWN": 5, "SKIP_SAMPLE": 2},
+    "off": {},
+}
+
+
+def skip_regime(regime):
+    constants = SKIP_REGIMES[regime]
+    if not constants:
+        return contextlib.nullcontext()
+    return mock.patch.multiple(dfa_module, **constants)
+
+
+def skipping_matcher(node, regime, data):
+    """A matcher whose eager search automaton starts in ``regime``."""
+    ours = Matcher(node)
+    search = ours._search
+    assert type(search) is DFA
+    n = search.n_blocks
+    skippable = list(range(search.limit + n, search.skip_limit + 1, n))
+    off = []
+    if regime == "off":
+        off = skippable
+    elif regime == "forced" and skippable:
+        off = data.draw(st.sets(st.sampled_from(skippable)))
+    for state in off:
+        search._switch_off(state)
+    return ours
+
+
+@pytest.mark.parametrize("regime", sorted(SKIP_REGIMES))
+@settings(max_examples=120, deadline=None)
+@given(node=gapped_asts, text=long_texts, data=st.data())
+def test_skipping_spans_match_nfa_reference(regime, node, text, data):
+    start = data.draw(st.integers(0, len(text)))
+    with skip_regime(regime):
+        ours = skipping_matcher(node, regime, data)
+        assert list(ours.finditer(text, start)) == reference_spans(
+            node, text, start
+        )
+        assert ours.contains(text) == bool(reference_spans(node, text, 0))
+
+
+@pytest.mark.parametrize("regime", sorted(SKIP_REGIMES))
+@settings(max_examples=40, deadline=None)
+@given(
+    node=gapped_asts,
+    batch=st.lists(long_texts, min_size=2, max_size=8),
+    data=st.data(),
+)
+def test_reused_matcher_answers_every_text_alike(regime, node, batch, data):
+    """What one scan leaves on the kernel (jump records, switched-off
+    states, a lowered ``skip_limit``) never changes a later answer."""
+    with skip_regime(regime):
+        ours = skipping_matcher(node, regime, data)
+        for text in batch + batch[::-1]:
+            assert list(ours.finditer(text)) == reference_spans(node, text, 0)
+
+
 @settings(max_examples=100, deadline=None)
 @given(node=asts(), text=texts)
 def test_match_count_parity_with_re_backend_existence(node, text):
-    """Span *existence* per position agrees between backends.
+    """Match *existence* agrees with stdlib ``re``.
 
-    Exact spans may differ (POSIX longest vs Python greedy), but if one
-    backend finds any match the other must too.
+    Exact spans may differ (earliest end first here, leftmost-greedy
+    there), but if one finds any match the other must too.
     """
-    dfa = Matcher(node, backend="dfa")
-    re_ = Matcher(node, backend="re")
-    assert (dfa.search(text) is None) == (re_.search(text) is None)
+    oracle = re.compile(to_stdlib_pattern(node))
+    found = Matcher(node).search(text) is not None
+    assert found == (oracle.search(text) is not None)
 
 
 @settings(max_examples=100, deadline=None)
 @given(node=asts(), text=texts)
 def test_spans_are_real_matches(node, text):
     """Every reported span, when sliced, must fullmatch the pattern."""
-    matcher = Matcher(node, backend="dfa")
+    matcher = Matcher(node)
     nfa = build_nfa(node)
     for start, end in matcher.finditer(text):
         assert 0 <= start <= end <= len(text)
@@ -173,7 +277,7 @@ def test_spans_are_real_matches(node, text):
 @settings(max_examples=100, deadline=None)
 @given(node=asts(), text=texts)
 def test_spans_non_overlapping_and_ordered(node, text):
-    spans = list(Matcher(node, backend="dfa").finditer(text))
+    spans = list(Matcher(node).finditer(text))
     for (s1, e1), (s2, e2) in zip(spans, spans[1:]):
         assert s2 >= max(e1, s1 + 1)
 
