@@ -25,7 +25,7 @@ from repro.engine.free import FreeEngine
 from repro.engine.scan import ScanEngine
 from repro.engine.sharded import ShardedFreeEngine
 from repro.index.builder import build_multigram_index
-from repro.index.kernels import PostingsKernel, resolve_kernel
+from repro.index.postings import PYTHON_KERNEL
 from repro.index.kgram import build_complete_index
 from repro.index.sharded import ShardedIndex
 from repro.iomodel.diskmodel import DiskModel
@@ -1056,13 +1056,12 @@ def write_bench_ingest(
 # ---------------------------------------------------------------------------
 
 #: Format tag of the BENCH_free_postings.json artifact.
-BENCH_POSTINGS_SCHEMA = "free-bench-postings/2"
+BENCH_POSTINGS_SCHEMA = "free-bench-postings/3"
 
 
-def _kernel_microbench(
-    kernel: "PostingsKernel", rounds: int = 200
-) -> Dict[str, float]:
-    """Mean microseconds per call of one kernel's set operations.
+def _kernel_microbench(rounds: int = 200) -> Dict[str, float]:
+    """Mean microseconds per call of the postings kernel's set
+    operations.
 
     Exercises the 1-list and 2-list fast paths of ``union_many`` /
     ``intersect_many`` next to the general k-list paths, on
@@ -1075,6 +1074,7 @@ def _kernel_microbench(
     # (multiples of lcm(2..9)), so no case degenerates to an early
     # exit on an empty result.
     many = [list(range(0, 30000, step)) for step in range(2, 10)]
+    kernel = PYTHON_KERNEL
     cases = {
         "union_1": lambda: kernel.union_many([one]),
         "union_2": lambda: kernel.union_many([one, two]),
@@ -1094,43 +1094,11 @@ def _kernel_microbench(
     return out
 
 
-def _kernel_microbenches(rounds: int = 200) -> Dict[str, object]:
-    """Per-backend microbench plus the numpy-over-python speedup.
-
-    The python backend always runs; the numpy backend runs when numpy
-    is importable (``None`` otherwise, so the artifact records *why*
-    the speedup is missing).  ``intersect_speedup`` is the ratio the
-    CI gate reads — python over numpy on the 2-list intersection, the
-    case the AND path hits hardest.
-    """
-    from repro.index.kernels import (
-        NumpyKernel,
-        PythonKernel,
-        numpy_available,
-    )
-
-    python_us = _kernel_microbench(PythonKernel(), rounds=rounds)
-    numpy_us: Optional[Dict[str, float]] = None
-    speedup: Optional[float] = None
-    if numpy_available():
-        numpy_us = _kernel_microbench(NumpyKernel(), rounds=rounds)
-        if numpy_us["intersect_2"] > 0:
-            speedup = round(
-                python_us["intersect_2"] / numpy_us["intersect_2"], 3
-            )
-    return {
-        "python": python_us,
-        "numpy": numpy_us,
-        "intersect_speedup": speedup,
-    }
-
-
 def run_postings(
     workload: Optional[Workload] = None,
     queries: Optional[Dict[str, str]] = None,
     repeats: int = 3,
     load_rounds: int = 5,
-    kernel: Optional[str] = None,
 ) -> Dict[str, object]:
     """FREEIDX1 vs FREEIDX2: cold start, decoded bytes, latency.
 
@@ -1163,10 +1131,6 @@ def run_postings(
         raise ValueError("repeats and load_rounds must be >= 1")
     corpus = workload.corpus
     index = workload.multigram
-    # Resolve once so the artifact records the backend actually used
-    # by the macro passes (and fails fast on `--kernel numpy` without
-    # numpy instead of mid-benchmark).
-    resolved_kernel = resolve_kernel(kernel)
 
     with tempfile.TemporaryDirectory(prefix="free-postings-") as tmp:
         paths = {
@@ -1191,8 +1155,7 @@ def run_postings(
             load_seconds[name] = min(times)
             started = time.perf_counter()
             with FreeEngine(
-                corpus, load_index(path), disk=DiskModel(),
-                kernel=resolved_kernel,
+                corpus, load_index(path), disk=DiskModel()
             ) as engine:
                 engine.search(first_pattern, collect_matches=False)
             first_query_seconds[name] = time.perf_counter() - started
@@ -1203,7 +1166,6 @@ def run_postings(
                 load_index(path),
                 disk=DiskModel(),
                 candidate_cache_size=0,
-                kernel=resolved_kernel,
             )
             for name, path in paths.items()
         }
@@ -1268,7 +1230,6 @@ def run_postings(
             "queries": n_queries,
             "repeats": repeats,
             "load_rounds": load_rounds,
-            "kernel": resolved_kernel.name,
         },
         "image_bytes": image_bytes,
         "cold_start": {
@@ -1297,7 +1258,7 @@ def run_postings(
             "v1": summary(latencies["v1"]),
             "v2": summary(latencies["v2"]),
         },
-        "kernel_microbench_us": _kernel_microbenches(),
+        "kernel_microbench_us": _kernel_microbench(),
         "matches": total_matches,
     }
 
@@ -1308,12 +1269,10 @@ def write_bench_postings(
     queries: Optional[Dict[str, str]] = None,
     repeats: int = 3,
     load_rounds: int = 5,
-    kernel: Optional[str] = None,
 ) -> Dict[str, object]:
     """Run :func:`run_postings` and persist the record as JSON."""
     record = run_postings(
-        workload, queries=queries, repeats=repeats,
-        load_rounds=load_rounds, kernel=kernel,
+        workload, queries=queries, repeats=repeats, load_rounds=load_rounds
     )
     with open(path, "w", encoding="utf-8") as out:
         json.dump(record, out, indent=2, sort_keys=True)

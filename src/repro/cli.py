@@ -41,7 +41,6 @@ from repro.engine.factory import open_engine
 from repro.engine.results import frequency_ranked
 from repro.errors import FreeError
 from repro.index.builder import build_multigram_index
-from repro.index.kernels import KERNEL_CHOICES
 from repro.index.serialize import (
     DEFAULT_VERSION,
     convert_index,
@@ -198,13 +197,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="worker processes for a sharded index (per-shard fan-out; "
              "ignored for single-index images)",
     )
-    p_search.add_argument(
-        "--kernel", choices=list(KERNEL_CHOICES), default=None,
-        help="postings-kernel backend: 'python' (portable reference), "
-             "'numpy' (vectorized decode + set ops), or 'auto' (numpy "
-             "when importable); default honours $FREE_KERNEL, then "
-             "'python'",
-    )
     p_search.set_defaults(func=_cmd_search)
 
     p_explain = sub.add_parser("explain", help="show the access plan")
@@ -329,13 +321,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=4, metavar="K",
         help="worker processes for --experiment sharded",
     )
-    p_bench.add_argument(
-        "--kernel", choices=list(KERNEL_CHOICES), default=None,
-        help="postings-kernel backend for --experiment postings "
-             "(the microbench always measures 'python', plus 'numpy' "
-             "when available; this picks the backend for the "
-             "macro passes)",
-    )
     p_bench.set_defaults(func=_cmd_bench)
 
     p_metrics = sub.add_parser(
@@ -423,11 +408,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--trace-store", type=int, default=128, metavar="N",
         help="ring capacity for sampled traces (slow top-N is N/4)",
-    )
-    p_serve.add_argument(
-        "--kernel", choices=list(KERNEL_CHOICES), default=None,
-        help="postings-kernel backend for every worker engine "
-             "(default honours $FREE_KERNEL, then 'python')",
     )
     p_serve.set_defaults(func=_cmd_serve)
 
@@ -593,10 +573,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
             else None
         )
         engine = stack.enter_context(
-            open_engine(
-                corpus, index_path, workers=args.workers,
-                kernel=args.kernel,
-            )
+            open_engine(corpus, index_path, workers=args.workers)
         )
         report = engine.search(
             args.pattern, limit=args.limit, trace=args.trace
@@ -738,7 +715,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         slow_trace_seconds=args.slow_trace,
         trace_store_size=args.trace_store,
         slow_store_size=max(args.trace_store // 4, 1),
-        kernel=args.kernel,
     )
     registry = get_registry()
     # ``free serve <ingest-dir>``: the directory is both corpus and
@@ -923,19 +899,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         return 0
     if args.experiment == "postings":
         out = args.out or "BENCH_free_postings.json"
-        record = runner_mod.write_bench_postings(
-            out, workload, kernel=args.kernel
-        )
+        record = runner_mod.write_bench_postings(out, workload)
         cold = cast(Dict[str, float], record["cold_start"])
         decoded = cast(Dict[str, float], record["decoded_per_query"])
         lat = cast(Dict[str, Dict[str, float]], record["latency_seconds"])
-        micro = cast(Dict[str, object], record["kernel_microbench_us"])
-        speedup = micro["intersect_speedup"]
-        kernel_text = (
-            f"numpy intersect x{cast(float, speedup):.2f} vs python"
-            if speedup is not None
-            else "numpy unavailable"
-        )
         print(
             f"postings: cold load {cold['v1_load_seconds'] * 1000:.2f}ms "
             f"-> {cold['v2_load_seconds'] * 1000:.3f}ms "
@@ -943,8 +910,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             f"decoded/query {decoded['v1_bytes_mean']:.0f}B -> "
             f"{decoded['v2_bytes_mean']:.0f}B; "
             f"p50 {lat['v1']['p50'] * 1000:.2f}ms -> "
-            f"{lat['v2']['p50'] * 1000:.2f}ms; "
-            f"{kernel_text} -> {out}"
+            f"{lat['v2']['p50'] * 1000:.2f}ms -> {out}"
         )
         return 0
     if args.experiment == "ingest":

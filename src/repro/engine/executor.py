@@ -25,12 +25,13 @@ from concurrent.futures import Executor
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from repro.errors import PlanError
-from repro.index.kernels import PYTHON_KERNEL, PostingsKernel
 from repro.index.multigram import GramIndex
 from repro.index.postings import (
+    PYTHON_KERNEL,
     BlockCursor,
     ListCursor,
     PostingsCursor,
+    PostingsKernel,
 )
 from repro.iomodel.diskmodel import DiskModel
 from repro.metrics import QueryMetrics
@@ -63,9 +64,9 @@ def execute_plan(
     is treated as "too many" and discarded — the engine's
     ``min_candidate_ratio`` guard is the intended caller.
 
-    ``kernel`` selects the postings backend running the AND/OR set
-    operations (see :mod:`repro.index.kernels`); the pure-python
-    reference kernel is the default.
+    ``kernel`` runs the AND/OR set operations; it defaults to the one
+    :class:`~repro.index.postings.PostingsKernel` (callers holding an
+    engine may pass its ``engine.kernel``, the same object).
     """
     if kernel is None:
         kernel = PYTHON_KERNEL
@@ -222,7 +223,6 @@ def execute_plan_sharded(
     pool: Optional[Executor] = None,
     disk: Optional[DiskModel] = None,
     metrics: Optional[QueryMetrics] = None,
-    kernel: Optional[PostingsKernel] = None,
 ) -> Optional[List[int]]:
     """Evaluate ``plans`` against every shard; union the results.
 
@@ -241,14 +241,12 @@ def execute_plan_sharded(
     ordinals = range(sharded.n_shards)
     if pool is None or sharded.n_shards == 1:
         results = [
-            sharded.shard_candidates(ordinal, plans, kernel=kernel)
+            sharded.shard_candidates(ordinal, plans)
             for ordinal in ordinals
         ]
     else:
         futures = [
-            pool.submit(
-                sharded.shard_candidates, ordinal, plans, kernel=kernel
-            )
+            pool.submit(sharded.shard_candidates, ordinal, plans)
             for ordinal in ordinals
         ]
         results = [future.result() for future in futures]

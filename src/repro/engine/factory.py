@@ -41,15 +41,12 @@ def wrap_index(
     plan_cache_size: int = 128,
     candidate_cache_size: int = 0,
     matcher_cache_size: int = 128,
-    kernel: Optional[str] = None,
 ) -> FreeEngine:
     """Wrap an already-loaded index in the right engine kind.
 
     ``workers`` only applies to sharded images (per-shard fan-out);
     single-index images ignore it.  The service layer loads one index
-    and calls this once per worker thread with that shared object —
-    each engine resolves ``kernel`` to a private kernel instance, so
-    decoded-block caches are never shared across worker threads.
+    and calls this once per worker thread with that shared object.
     """
     if isinstance(index, ShardedIndex):
         return ShardedFreeEngine(
@@ -60,7 +57,6 @@ def wrap_index(
             plan_cache_size=plan_cache_size,
             candidate_cache_size=candidate_cache_size,
             matcher_cache_size=matcher_cache_size,
-            kernel=kernel,
         )
     if isinstance(index, SegmentedGramIndex):
         return SegmentedFreeEngine(
@@ -70,7 +66,6 @@ def wrap_index(
             plan_cache_size=plan_cache_size,
             candidate_cache_size=candidate_cache_size,
             matcher_cache_size=matcher_cache_size,
-            kernel=kernel,
         )
     return FreeEngine(
         corpus,
@@ -79,7 +74,6 @@ def wrap_index(
         plan_cache_size=plan_cache_size,
         candidate_cache_size=candidate_cache_size,
         matcher_cache_size=matcher_cache_size,
-        kernel=kernel,
     )
 
 
@@ -90,7 +84,6 @@ def open_ingest_engine(
     candidate_cache_size: int = 0,
     matcher_cache_size: int = 128,
     read_only: bool = True,
-    kernel: Optional[str] = None,
 ) -> SegmentedFreeEngine:
     """Open an ingest directory and wrap its live view in an engine.
 
@@ -102,7 +95,6 @@ def open_ingest_engine(
 
     directory = IngestDirectory(
         path, create=False, read_only=read_only, registry=registry,
-        kernel=kernel,
     )
     return SegmentedFreeEngine(
         directory.corpus,
@@ -112,7 +104,6 @@ def open_ingest_engine(
         candidate_cache_size=candidate_cache_size,
         matcher_cache_size=matcher_cache_size,
         owned=directory,
-        kernel=kernel,
     )
 
 
@@ -124,7 +115,6 @@ def open_engine(
     plan_cache_size: int = 128,
     candidate_cache_size: int = 0,
     matcher_cache_size: int = 128,
-    kernel: Optional[str] = None,
 ) -> FreeEngine:
     """Load either index image kind — or an ingest directory — and wrap
     it in the right engine.
@@ -140,7 +130,6 @@ def open_engine(
             plan_cache_size=plan_cache_size,
             candidate_cache_size=candidate_cache_size,
             matcher_cache_size=matcher_cache_size,
-            kernel=kernel,
         )
     if corpus is None:
         raise IngestError(
@@ -149,11 +138,10 @@ def open_engine(
         )
     return wrap_index(
         corpus,
-        load_any_index(index_path, kernel=kernel),
+        load_any_index(index_path),
         workers=workers,
         registry=registry,
         plan_cache_size=plan_cache_size,
         candidate_cache_size=candidate_cache_size,
         matcher_cache_size=matcher_cache_size,
-        kernel=kernel,
     )

@@ -71,8 +71,8 @@ from repro.corpus.document import DataUnit
 from repro.corpus.store import CorpusStore
 from repro.engine.executor import execute_plan
 from repro.engine.results import Match, SearchReport, frequency_ranked
-from repro.index.kernels import PostingsKernel, resolve_kernel
 from repro.index.multigram import GramIndex
+from repro.index.postings import PYTHON_KERNEL, PostingsKernel
 from repro.iomodel.diskmodel import DiskModel
 from repro.metrics import LRUCache, QueryMetrics
 from repro.obs.clock import monotonic
@@ -92,9 +92,6 @@ _SCAN_ALL = object()
 
 #: Closed vocabulary of engine metric label values (CONC005).
 _ENGINE_LABELS = frozenset({"free", "scan", "sharded", "segmented"})
-
-#: Closed vocabulary of postings-kernel backend labels (CONC005).
-_KERNEL_LABELS = frozenset({"python", "numpy"})
 
 
 class _BatchGroup:
@@ -142,14 +139,11 @@ class FreeEngine:
             are recorded into (default: the process-wide registry of
             :func:`repro.obs.registry.get_registry`; pass a private
             registry to isolate an engine's numbers, e.g. in tests).
-        kernel: postings-kernel backend for the plan's set operations —
-            a name ("python", "numpy", "auto") or an already-built
-            :class:`~repro.index.kernels.PostingsKernel`.  ``None``
-            defers to the index's recorded ``kernel_backend``, then the
-            ``FREE_KERNEL`` environment variable, then "python".  The
-            engine owns a private kernel instance (its decoded-block
-            cache is not shared across engines or threads).
     """
+
+    #: The postings set operations every query runs; stateless, so one
+    #: instance serves every engine and thread.
+    kernel: PostingsKernel = PYTHON_KERNEL
 
     def __init__(
         self,
@@ -163,7 +157,6 @@ class FreeEngine:
         candidate_cache_size: int = 0,
         matcher_cache_size: int = 128,
         registry: Optional[MetricsRegistry] = None,
-        kernel: Optional[Union[str, PostingsKernel]] = None,
     ):
         self.corpus = corpus
         self.disk = disk if disk is not None else DiskModel()
@@ -175,10 +168,6 @@ class FreeEngine:
         self._candidate_cache = LRUCache(candidate_cache_size)
         self._matcher_cache = LRUCache(matcher_cache_size)
         self._index = index
-        if kernel is None:
-            kernel = getattr(index, "kernel_backend", None)
-        #: The resolved postings kernel; private to this engine.
-        self.kernel: PostingsKernel = resolve_kernel(kernel)
 
     @property
     def index(self) -> Optional[GramIndex]:
@@ -660,7 +649,6 @@ class FreeEngine:
                 self.disk,
                 metrics,
                 first_k=first_k,
-                kernel=self.kernel,
             )
 
     def _matcher(
@@ -764,16 +752,6 @@ class FreeEngine:
             ["engine"],
             buckets=DEFAULT_SIZE_BUCKETS,
         ).labels(engine=engine).observe(report.n_candidates)
-        backend = (
-            self.kernel.name
-            if self.kernel.name in _KERNEL_LABELS
-            else "other"
-        )
-        registry.counter(
-            "free_kernel_backend",
-            "Queries executed per postings-kernel backend.",
-            ["backend"],
-        ).labels(backend=backend).inc()
         registry.counter(
             "free_postings_entries_decoded_total",
             "Postings entries varint-decoded (decoded-cache misses).",

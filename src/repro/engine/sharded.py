@@ -71,7 +71,6 @@ from repro.engine.executor import merge_shard_candidates
 from repro.engine.free import FreeEngine, _BatchGroup
 from repro.engine.results import Match, SearchReport
 from repro.errors import FreeError, InternalError
-from repro.index.kernels import PostingsKernel
 from repro.index.sharded import ShardedIndex
 from repro.iomodel.diskmodel import DiskModel
 from repro.metrics import QueryMetrics
@@ -170,7 +169,6 @@ class ShardedFreeEngine(FreeEngine):
         candidate_cache_size: int = 0,
         matcher_cache_size: int = 128,
         registry: Optional[MetricsRegistry] = None,
-        kernel: Optional[Union[str, "PostingsKernel"]] = None,
     ):
         if not isinstance(sharded_index, ShardedIndex):
             raise FreeError(
@@ -184,8 +182,6 @@ class ShardedFreeEngine(FreeEngine):
             )
         if workers < 1:
             raise FreeError("workers must be >= 1")
-        if kernel is None:
-            kernel = getattr(sharded_index, "kernel_backend", None)
         super().__init__(
             corpus,
             index=None,
@@ -197,16 +193,8 @@ class ShardedFreeEngine(FreeEngine):
             candidate_cache_size=candidate_cache_size,
             matcher_cache_size=matcher_cache_size,
             registry=registry,
-            kernel=kernel,
         )
         self.sharded = sharded_index
-        #: One kernel per shard ordinal: a thread-pool fan-out runs the
-        #: shards concurrently, and a kernel's decoded-block cache is
-        #: not thread-safe — clones give each shard its own (the
-        #: stateless python kernel clones to itself).
-        self._shard_kernels = [
-            self.kernel.clone() for _ in range(sharded_index.n_shards)
-        ]
         self.workers = workers
         self._pool: Optional[Executor] = None
         self._owns_pool = False
@@ -332,8 +320,7 @@ class ShardedFreeEngine(FreeEngine):
                 for ordinal in range(n_shards):
                     with maybe_span(trace, "shard", shard=ordinal) as span:
                         ids, shard_metrics = self.sharded.shard_candidates(
-                            ordinal, plans, first_k=first_k,
-                            kernel=self._shard_kernels[ordinal],
+                            ordinal, plans, first_k=first_k
                         )
                         if span is not None:
                             span.attrs["candidates"] = (
@@ -350,7 +337,6 @@ class ShardedFreeEngine(FreeEngine):
                     pool.submit(
                         self.sharded.shard_candidates, ordinal, plans,
                         first_k=first_k,
-                        kernel=self._shard_kernels[ordinal],
                     )
                     for ordinal in range(n_shards)
                 ]
@@ -358,8 +344,7 @@ class ShardedFreeEngine(FreeEngine):
             else:
                 results = [
                     self.sharded.shard_candidates(
-                        ordinal, plans, first_k=first_k,
-                        kernel=self._shard_kernels[ordinal],
+                        ordinal, plans, first_k=first_k
                     )
                     for ordinal in range(n_shards)
                 ]
@@ -513,8 +498,7 @@ class ShardedFreeEngine(FreeEngine):
             posting_cost_chars=self.disk.posting_cost_chars,
         )
         ids, shard_metrics = self.sharded.shard_candidates(
-            ordinal, self._compiled_plans(pattern), metrics=shard_metrics,
-            kernel=self._shard_kernels[ordinal],
+            ordinal, self._compiled_plans(pattern), metrics=shard_metrics
         )
         for record in shard_metrics.lookups:
             shard_disk.charge_postings(record.n_ids)

@@ -63,7 +63,6 @@ from repro.obs.registry import MetricsRegistry, get_registry
 from repro.obs.trace import Trace, maybe_span
 
 if TYPE_CHECKING:  # plan layer imports this package: defer.
-    from repro.index.kernels import PostingsKernel
     from repro.plan.physical import CompiledPlans
 
 MANIFEST_NAME = "MANIFEST.json"
@@ -437,7 +436,6 @@ class IngestIndex(SegmentedGramIndex):
         plans: "CompiledPlans",
         disk: Optional[DiskModel] = None,
         metrics: Optional[QueryMetrics] = None,
-        kernel: Optional["PostingsKernel"] = None,
     ) -> Optional[List[int]]:
         """Sorted global candidate ids across sealed segments and the
         memtable.
@@ -450,7 +448,7 @@ class IngestIndex(SegmentedGramIndex):
         merged: List[int] = list(memtable_ids)
         for segment in segments:
             physical = plans.physical(segment.index, metrics)
-            merged.extend(segment.candidates(physical, disk, metrics, kernel))
+            merged.extend(segment.candidates(physical, disk, metrics))
         merged.sort()
         return merged
 
@@ -499,7 +497,6 @@ class IngestDirectory:
         auto_compact: bool = True,
         registry: Optional[MetricsRegistry] = None,
         disk: Optional[DiskModel] = None,
-        kernel: Optional[str] = None,
     ):
         if memtable_docs < 1:
             raise IngestError("memtable_docs must be >= 1")
@@ -507,9 +504,6 @@ class IngestDirectory:
             raise IngestError("compaction fanout must be >= 2")
         self.path = os.path.abspath(path)
         self.read_only = read_only
-        #: Postings-kernel backend name stamped onto every segment
-        #: index this directory loads (see :mod:`repro.index.kernels`).
-        self.kernel = kernel
         self.memtable_docs = memtable_docs
         self.fanout = fanout
         self.auto_compact = auto_compact
@@ -536,7 +530,6 @@ class IngestDirectory:
             write_manifest(self.path, manifest)
 
         self.index = IngestIndex(builder)
-        self.index.kernel_backend = kernel
         self.corpus = IngestCorpus()
         self._generation = manifest.generation
         self._next_doc_id = manifest.next_doc_id
@@ -572,7 +565,7 @@ class IngestDirectory:
         for record in manifest.segments:
             image = os.path.join(self.path, record.name)
             try:
-                gram_index = load_index(image, kernel=self.kernel)
+                gram_index = load_index(image)
             except OSError as exc:
                 raise IngestError(
                     f"{self.path!r}: manifest generation "
@@ -752,7 +745,7 @@ class IngestDirectory:
             os.fsync(out.fileno())
         self.disk.charge_write(os.path.getsize(image))
         self._metrics.image_bytes.inc(os.path.getsize(image))
-        return name, load_index(image, kernel=self.kernel)
+        return name, load_index(image)
 
     def _commit_seal(
         self,

@@ -45,12 +45,6 @@ class GramIndex:
             is immutable, so cached decodes never go stale.
     """
 
-    #: Postings-kernel backend name recorded at load time ("python",
-    #: "numpy" or "auto"); engines wrapping this index adopt it unless
-    #: the caller overrides.  None = no preference (resolution falls
-    #: through to the FREE_KERNEL environment variable, then "python").
-    kernel_backend: Optional[str] = None
-
     def __init__(
         self,
         postings: Dict[str, PostingsList],

@@ -22,6 +22,8 @@ Merge operations implement the Boolean connectives of the access plan:
   (:func:`intersect_cursors`) that uses the block skip tables to avoid
   decoding non-overlapping blocks at all;
 * OR — k-way heap merge with duplicate elimination.
+
+:class:`PostingsKernel` bundles the three the plan executor calls.
 """
 
 from __future__ import annotations
@@ -124,13 +126,7 @@ def decode_gaps(data: ByteSource, previous: int = -1) -> List[int]:
 class PostingsList:
     """An immutable, gap-compressed sorted set of doc ids."""
 
-    __slots__ = ("_data", "_count", "_kernel_token")
-
-    #: Lazily-assigned identity for the numpy kernel's decoded-block
-    #: cache (see :func:`repro.index.kernels._token_of`).  Unlike
-    #: ``id()`` a token is never reused, so cache entries cannot alias
-    #: a different list after garbage collection.
-    _kernel_token: int
+    __slots__ = ("_data", "_count")
 
     def __init__(self, data: bytes, count: int):
         self._data = data
@@ -747,3 +743,26 @@ def difference_sorted(a: List[int], b: List[int]) -> List[int]:
         if j >= n or b[j] != value:
             result.append(value)
     return result
+
+
+class PostingsKernel:
+    """The set operations the plan executor runs on postings lists.
+
+    Stateless: the one instance, :data:`PYTHON_KERNEL`, serves every
+    engine and thread.  ``name`` is the backend label query metrics
+    report (``kernel_backend``).  Every operation returns a fresh list
+    the caller owns.
+    """
+
+    name = "python"
+
+    intersect_many = staticmethod(intersect_many)
+    union_many = staticmethod(union_many)
+    intersect_cursors = staticmethod(intersect_cursors)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.name!r})"
+
+
+#: The shared kernel every engine and executor uses.
+PYTHON_KERNEL = PostingsKernel()

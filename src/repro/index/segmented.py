@@ -35,7 +35,6 @@ from repro.iomodel.diskmodel import DiskModel
 from repro.metrics import QueryMetrics
 
 if TYPE_CHECKING:  # plan/engine layers import this package: defer.
-    from repro.index.kernels import PostingsKernel
     from repro.obs.registry import MetricsRegistry
     from repro.plan.physical import CompiledPlans, CoverPolicy, PhysicalPlan
 
@@ -72,7 +71,6 @@ class Segment:
         physical: "PhysicalPlan",
         disk: Optional[DiskModel] = None,
         metrics: Optional[QueryMetrics] = None,
-        kernel: Optional["PostingsKernel"] = None,
     ) -> List[int]:
         """Global candidate ids in this segment (tombstones excluded)
         under ``physical``, a plan compiled for this segment's index."""
@@ -80,9 +78,7 @@ class Segment:
 
         if physical.is_full_scan:
             return self.live_global_ids()
-        local = execute_plan(
-            physical, self.index, disk, metrics, kernel=kernel
-        )
+        local = execute_plan(physical, self.index, disk, metrics)
         if local is None:
             return self.live_global_ids()
         out = []
@@ -101,10 +97,6 @@ class Segment:
 
 class SegmentedGramIndex:
     """A growable multigram index made of independent segments."""
-
-    #: Postings-kernel backend name recorded at load time; engines
-    #: wrapping this index adopt it unless the caller overrides.
-    kernel_backend: Optional[str] = None
 
     def __init__(self, builder: Optional[MultigramIndexBuilder] = None):
         self.builder = builder or MultigramIndexBuilder()
@@ -231,7 +223,6 @@ class SegmentedGramIndex:
         plans: "CompiledPlans",
         disk: Optional[DiskModel] = None,
         metrics: Optional[QueryMetrics] = None,
-        kernel: Optional["PostingsKernel"] = None,
     ) -> Optional[List[int]]:
         """Sorted global candidate ids, or None for "scan everything".
 
@@ -247,7 +238,7 @@ class SegmentedGramIndex:
             physical = plans.physical(segment.index, metrics)
             if not physical.is_full_scan:
                 all_null = False
-            merged.extend(segment.candidates(physical, disk, metrics, kernel))
+            merged.extend(segment.candidates(physical, disk, metrics))
         if all_null and not self.has_deletions:
             return None
         merged.sort()
@@ -306,15 +297,12 @@ class SegmentedFreeEngine(FreeEngine):
         matcher_cache_size: int = 128,
         registry: Optional["MetricsRegistry"] = None,
         owned: Optional[Any] = None,
-        kernel: Optional[Union[str, "PostingsKernel"]] = None,
     ):
         if not isinstance(seg_index, SegmentedGramIndex):
             raise IndexBuildError(
                 "SegmentedFreeEngine requires a SegmentedGramIndex; got "
                 f"{type(seg_index).__name__}"
             )
-        if kernel is None:
-            kernel = getattr(seg_index, "kernel_backend", None)
         super().__init__(
             corpus,
             index=None,
@@ -326,7 +314,6 @@ class SegmentedFreeEngine(FreeEngine):
             candidate_cache_size=candidate_cache_size,
             matcher_cache_size=matcher_cache_size,
             registry=registry,
-            kernel=kernel,
         )
         self.seg_index = seg_index
         self._owned = owned
@@ -355,9 +342,7 @@ class SegmentedFreeEngine(FreeEngine):
         with maybe_span(
             trace, "postings", segments=len(self.seg_index.segments)
         ):
-            return self.seg_index.candidates(
-                plans, self.disk, metrics, kernel=self.kernel
-            )
+            return self.seg_index.candidates(plans, self.disk, metrics)
 
     def explain(
         self,

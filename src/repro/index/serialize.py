@@ -126,24 +126,17 @@ def save_index(
         _write_index_stream(out, index, version)
 
 
-def load_index(path: str, kernel: Optional[str] = None) -> GramIndex:
+def load_index(path: str) -> GramIndex:
     """Read a single-index image written by :func:`save_index`.
 
     Dispatches on the magic: ``FREEIDX1`` images are read eagerly (full
     decode validation), ``FREEIDX2`` images are memory-mapped in O(1)
     and decode lazily (:class:`MappedGramIndex`).
-
-    ``kernel`` records a postings-kernel backend name on the returned
-    index (``kernel_backend``); engines wrapping the index adopt it
-    unless the caller overrides (see :mod:`repro.index.kernels`).
     """
     with open(path, "rb") as infile:
         magic = infile.read(len(_MAGIC))
         if magic == _MAGIC:
-            index = _read_index_stream(infile, path)
-            if kernel is not None:
-                index.kernel_backend = kernel
-            return index
+            return _read_index_stream(infile, path)
         if magic == _MAGIC_V2:
             buf = mmap.mmap(infile.fileno(), 0, access=mmap.ACCESS_READ)
             try:
@@ -163,8 +156,6 @@ def load_index(path: str, kernel: Optional[str] = None) -> GramIndex:
                     f"{path!r}: {total - end} trailing bytes "
                     f"after the postings region"
                 )
-            if kernel is not None:
-                index.kernel_backend = kernel
             return index
         raise SerializationError(f"{path!r}: bad magic {magic!r}")
 
@@ -187,9 +178,7 @@ def save_sharded_index(
             _write_index_stream(out, shard.index, version)
 
 
-def load_sharded_index(
-    path: str, kernel: Optional[str] = None
-) -> "ShardedIndex":
+def load_sharded_index(path: str) -> "ShardedIndex":
     """Read a sharded image written by :func:`save_sharded_index`.
 
     Each embedded shard stream dispatches on its own magic, so a
@@ -197,9 +186,6 @@ def load_sharded_index(
     produced by partial migrations).  v2 shard streams are skipped
     over in O(1) — their directory header states the stream length —
     so a fully-v2 sharded image also loads in O(n_shards).
-
-    ``kernel`` records a postings-kernel backend name on the returned
-    :class:`~repro.index.sharded.ShardedIndex` and each shard's index.
     """
     from repro.index.segmented import Segment
     from repro.index.sharded import ShardedIndex
@@ -234,8 +220,6 @@ def load_sharded_index(
                     f"{path!r}: shard image holds {index.n_docs} docs but "
                     f"the directory says [{start}, {stop})"
                 )
-            if kernel is not None:
-                index.kernel_backend = kernel
             shards.append(Segment(list(range(start, stop)), index))
     sharded = ShardedIndex(shards)
     if sharded.n_docs != meta["n_docs"]:
@@ -243,21 +227,17 @@ def load_sharded_index(
             f"{path!r}: shards cover {sharded.n_docs} docs, "
             f"directory says {meta['n_docs']}"
         )
-    if kernel is not None:
-        sharded.kernel_backend = kernel
     return sharded
 
 
-def load_any_index(
-    path: str, kernel: Optional[str] = None
-) -> Union[GramIndex, "ShardedIndex"]:
+def load_any_index(path: str) -> Union[GramIndex, "ShardedIndex"]:
     """Open any image kind, dispatching on the leading magic."""
     with open(path, "rb") as infile:
         magic = infile.read(len(_MAGIC))
     if magic in (_MAGIC, _MAGIC_V2):
-        return load_index(path, kernel=kernel)
+        return load_index(path)
     if magic == _SHARD_MAGIC:
-        return load_sharded_index(path, kernel=kernel)
+        return load_sharded_index(path)
     raise SerializationError(f"{path!r}: bad magic {magic!r}")
 
 

@@ -49,7 +49,6 @@ from repro.iomodel.diskmodel import DiskModel
 from repro.metrics import QueryMetrics
 
 if TYPE_CHECKING:  # plan layer imports this package: defer.
-    from repro.index.kernels import PostingsKernel
     from repro.plan.physical import CompiledPlans
 
 
@@ -83,10 +82,6 @@ class ShardedIndex:
             ``global_ids`` must be the contiguous ranges produced by
             :func:`shard_ranges` (validated).
     """
-
-    #: Postings-kernel backend name recorded at load time; engines
-    #: wrapping this index adopt it unless the caller overrides.
-    kernel_backend: Optional[str] = None
 
     def __init__(self, shards: Sequence[Segment]):
         if not shards:
@@ -204,7 +199,6 @@ class ShardedIndex:
         plans: "CompiledPlans",
         metrics: Optional[QueryMetrics] = None,
         first_k: Optional[int] = None,
-        kernel: Optional["PostingsKernel"] = None,
     ) -> Tuple[Optional[List[int]], QueryMetrics]:
         """One shard's global candidate ids under the physical plan
         ``plans`` holds for the shard's index (compiled on first use).
@@ -231,12 +225,7 @@ class ShardedIndex:
         if physical.is_full_scan:
             return None, shard_metrics
         local = execute_plan(
-            physical,
-            shard.index,
-            None,
-            shard_metrics,
-            first_k=first_k,
-            kernel=kernel,
+            physical, shard.index, None, shard_metrics, first_k=first_k
         )
         if local is None:
             return None, shard_metrics
@@ -248,7 +237,6 @@ class ShardedIndex:
         plans: "CompiledPlans",
         disk: Optional[DiskModel] = None,
         metrics: Optional[QueryMetrics] = None,
-        kernel: Optional["PostingsKernel"] = None,
     ) -> Optional[List[int]]:
         """Sorted global candidate ids, or ``None`` for "scan everything".
 
@@ -260,12 +248,7 @@ class ShardedIndex:
         from repro.engine.executor import execute_plan_sharded
 
         return execute_plan_sharded(
-            plans,
-            self,
-            pool=None,
-            disk=disk,
-            metrics=metrics,
-            kernel=kernel,
+            plans, self, pool=None, disk=disk, metrics=metrics
         )
 
     def __repr__(self) -> str:

@@ -153,9 +153,9 @@ class QueryMetrics:
     candidate_cache_hit: Optional[bool] = None
     matcher_cache_hit: Optional[bool] = None
 
-    #: Postings-kernel backend that executed this query's set
-    #: operations ("python" or "numpy"); None before plan execution
-    #: (e.g. the scan path never touches a kernel).
+    #: Name of the postings kernel that ran this query's set
+    #: operations (always "python"); None when no engine or executor
+    #: stamped it.
     kernel_backend: Optional[str] = None
 
     #: Batch execution (``FreeEngine.search_batch``): ``True`` when this

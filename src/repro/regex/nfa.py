@@ -19,7 +19,9 @@ from repro.regex.charclass import CharClass
 
 #: Expansion guard: a counted repetition may not expand to more than this
 #: many copies of its body (prevents pathological ``a{1000000}`` inputs
-#: from exhausting memory).
+#: from exhausting memory).  The parser applies it to whole patterns,
+#: nested repetitions multiplied, so a parsed pattern never trips the
+#: re-check in :func:`expand_repeat`.
 MAX_COUNTED_EXPANSION = 4096
 
 

@@ -17,7 +17,11 @@ negation (``[^abc]``) and the shorthand escapes.
 
 The parser is strict: trailing garbage, unbalanced parentheses, empty
 groups and dangling quantifiers all raise :class:`RegexSyntaxError` with
-the offending position.
+the offending position.  So do patterns past the dialect's two size
+limits, :data:`MAX_NESTING_DEPTH` and
+:data:`~repro.regex.nfa.MAX_COUNTED_EXPANSION`: every later compile
+pass walks the expanded pattern, so both are enforced here, before any
+of them runs.
 """
 
 from __future__ import annotations
@@ -27,6 +31,21 @@ from typing import Optional, Tuple
 from repro.errors import RegexSyntaxError
 from repro.regex import ast
 from repro.regex.charclass import ALPHA, DIGIT, DOT, SPACE, WORD, CharClass
+from repro.regex.nfa import MAX_COUNTED_EXPANSION
+
+#: Deepest nesting a pattern may reach.  Every group, every quantifier
+#: and every optional copy a counted repetition expands to is one level
+#: (``r{0,3}`` expands to ``(r(r(r)?)?)?``).  The parser and the compile
+#: passes recurse once per level, so this keeps them well inside the
+#: interpreter's default recursion limit; it admits the paper's longest
+#: bounded gap, ``.{0,200}`` (201 levels).
+MAX_NESTING_DEPTH = 208
+
+#: One parsed subtree: the node, its nesting depth (as counted for
+#: :data:`MAX_NESTING_DEPTH`) and the most copies compilation makes of
+#: any part of it: ``r{lo,hi}`` copies ``r`` ``hi`` times (``lo`` when
+#: open-ended), ``r+`` twice, and nested repetitions multiply.
+_Parsed = Tuple[ast.Node, int, int]
 
 _METACHARS = set(".*+?|()[]{}")
 
@@ -46,6 +65,7 @@ class _Parser:
     def __init__(self, pattern: str):
         self.pattern = pattern
         self.pos = 0
+        self.open_groups = 0
 
     # -- character stream ------------------------------------------------
 
@@ -72,46 +92,71 @@ class _Parser:
     # -- grammar ----------------------------------------------------------
 
     def parse(self) -> ast.Node:
-        node = self._alternation()
+        node, _depth, _copies = self._alternation()
         if self.pos != len(self.pattern):
             raise self._error("unexpected character")
         return node
 
-    def _alternation(self) -> ast.Node:
-        options = [self._concat()]
+    def _alternation(self) -> _Parsed:
+        node, depth, copies = self._concat()
+        options = [node]
         while self._peek() == "|":
             self._next()
-            options.append(self._concat())
-        return ast.alt(*options)
+            option, option_depth, option_copies = self._concat()
+            options.append(option)
+            depth = max(depth, option_depth)
+            copies = max(copies, option_copies)
+        return ast.alt(*options), depth, copies
 
-    def _concat(self) -> ast.Node:
+    def _concat(self) -> _Parsed:
         parts = []
+        depth, copies = 0, 1
         while True:
             ch = self._peek()
             if ch is None or ch in "|)":
                 break
-            parts.append(self._repeat())
-        return ast.concat(*parts)
+            part, part_depth, part_copies = self._repeat()
+            parts.append(part)
+            depth = max(depth, part_depth)
+            copies = max(copies, part_copies)
+        return ast.concat(*parts), depth, copies
 
-    def _repeat(self) -> ast.Node:
-        node = self._atom()
+    def _repeat(self) -> _Parsed:
+        node, depth, copies = self._atom()
         while True:
+            if copies > MAX_COUNTED_EXPANSION:
+                raise self._error(
+                    f"repetition expands to {copies} copies "
+                    f"(limit {MAX_COUNTED_EXPANSION})"
+                )
+            if depth > MAX_NESTING_DEPTH:
+                raise self._error(
+                    f"pattern nests {depth} levels deep "
+                    f"(limit {MAX_NESTING_DEPTH})"
+                )
             ch = self._peek()
             if ch == "*":
                 self._next()
                 node = ast.Star(node)
+                depth += 1
             elif ch == "+":
                 self._next()
                 node = ast.Plus(node)
+                depth += 1
+                copies *= 2  # r+ compiles as r r*
             elif ch == "?":
                 self._next()
                 node = ast.Opt(node)
+                depth += 1
             elif ch == "{":
-                node = self._counted(node)
+                repeat = self._counted(node)
+                node, lo, hi = repeat, repeat.lo, repeat.hi
+                depth += 1 if hi is None else 1 + hi - lo
+                copies *= max(lo if hi is None else hi, 1)
             else:
-                return node
+                return node, depth, copies
 
-    def _counted(self, node: ast.Node) -> ast.Node:
+    def _counted(self, node: ast.Node) -> ast.Repeat:
         self._eat("{")
         lo = self._integer()
         hi: Optional[int]
@@ -137,31 +182,38 @@ class _Parser:
             raise self._error("expected a number")
         return int(self.pattern[start : self.pos])
 
-    def _atom(self) -> ast.Node:
+    def _atom(self) -> _Parsed:
         ch = self._peek()
         if ch is None:
             raise self._error("unexpected end of pattern")
         if ch == "(":
             self._next()
-            node = self._alternation()
+            self.open_groups += 1
+            if self.open_groups > MAX_NESTING_DEPTH:
+                raise self._error(
+                    f"groups nest {self.open_groups} levels deep "
+                    f"(limit {MAX_NESTING_DEPTH})"
+                )
+            node, depth, copies = self._alternation()
             if self._peek() != ")":
                 raise self._error("unbalanced parenthesis")
             self._next()
-            return node
+            self.open_groups -= 1
+            return node, depth + 1, copies
         if ch == "[":
-            return self._char_class()
+            return self._char_class(), 0, 1
         if ch == ".":
             self._next()
-            return ast.Char(DOT)
+            return ast.Char(DOT), 0, 1
         if ch == "\\":
-            return self._escape()
+            return self._escape(), 0, 1
         if ch in "*+?{":
             raise self._error("quantifier with nothing to repeat")
         if ch in ")|":
             raise self._error("unexpected character")
         self._next()
         self._require_in_alphabet(ch)
-        return ast.Char.literal(ch)
+        return ast.Char.literal(ch), 0, 1
 
     def _escape(self) -> ast.Node:
         self._eat("\\")

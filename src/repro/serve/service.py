@@ -98,7 +98,6 @@ from repro.engine.factory import AnyIndex, wrap_index
 from repro.engine.free import FreeEngine
 from repro.engine.results import SearchReport
 from repro.errors import FreeError
-from repro.index.kernels import KERNEL_CHOICES
 from repro.index.serialize import load_any_index
 from repro.obs.clock import monotonic
 from repro.obs.ids import (
@@ -154,10 +153,6 @@ class ServeConfig:
     trace_store_size: int = 128
     #: Top-N capacity for slow-retained traces.
     slow_store_size: int = 32
-    #: Postings-kernel backend for every worker engine ("python",
-    #: "numpy" or "auto"); None defers to the FREE_KERNEL environment
-    #: variable, then "python".
-    kernel: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -177,11 +172,6 @@ class ServeConfig:
             raise FreeError("slow_trace_seconds must be positive")
         if self.trace_store_size < 1 or self.slow_store_size < 1:
             raise FreeError("trace store sizes must be >= 1")
-        if self.kernel is not None and self.kernel not in KERNEL_CHOICES:
-            raise FreeError(
-                f"kernel must be one of {sorted(KERNEL_CHOICES)}, "
-                f"got {self.kernel!r}"
-            )
 
 
 class DeadlineCorpus(CorpusStore):
@@ -372,7 +362,6 @@ def build_slots(
                     plan_cache_size=config.plan_cache_size,
                     candidate_cache_size=config.candidate_cache_size,
                     matcher_cache_size=config.matcher_cache_size,
-                    kernel=config.kernel,
                 ).prewarm()
             except Exception:
                 corpus.close()
@@ -404,12 +393,11 @@ def slots_from_paths(
 
         directory = IngestDirectory(
             index_path, create=False, read_only=True, registry=registry,
-            kernel=config.kernel,
         )
         return build_slots(
             lambda: directory.corpus, directory.index, config, registry
         )
-    index = load_any_index(index_path, kernel=config.kernel)
+    index = load_any_index(index_path)
     return build_slots(
         lambda: DiskCorpus(corpus_path), index, config, registry
     )

@@ -109,26 +109,12 @@ class TestRunners:
         decoded = record["decoded_per_query"]
         assert decoded["v1_bytes_mean"] > 0
         assert decoded["v2_bytes_mean"] <= decoded["v1_bytes_mean"]
-        assert record["workload"]["kernel"] == "python"
         micro = record["kernel_microbench_us"]
-        assert set(micro) == {"python", "numpy", "intersect_speedup"}
-        cases = {
+        assert set(micro) == {
             "union_1", "union_2", "union_8",
             "intersect_1", "intersect_2", "intersect_8",
         }
-        assert set(micro["python"]) == cases
-        assert all(value > 0 for value in micro["python"].values())
-        # The numpy leg mirrors the python one when numpy is present
-        # and records its absence (None) otherwise.
-        from repro.index.kernels import numpy_available
-
-        if numpy_available():
-            assert set(micro["numpy"]) == cases
-            assert all(value > 0 for value in micro["numpy"].values())
-            assert micro["intersect_speedup"] > 0
-        else:
-            assert micro["numpy"] is None
-            assert micro["intersect_speedup"] is None
+        assert all(value > 0 for value in micro.values())
         import json
 
         assert json.load(open(path))["schema"] == BENCH_POSTINGS_SCHEMA

@@ -113,6 +113,18 @@ class TestSearch:
         assert main(["search", corpus_path, index_path, "(((" ]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("pattern", [
+        "x.{0,250}y", "(" * 300 + "a" + ")" * 300, "a{5000}",
+    ], ids=["gap", "groups", "count"])
+    def test_pattern_past_limits_is_clean_error(
+        self, images, capsys, pattern
+    ):
+        corpus_path, index_path = images
+        assert main(["search", corpus_path, index_path, pattern]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
     def test_search_metrics_flag(self, images, capsys):
         corpus_path, index_path = images
         assert main(["search", corpus_path, index_path, "<title>",

@@ -226,28 +226,6 @@ def test_parallel_thread_pool_candidates_identical(small_corpus):
                 result_bytes(sequential.search(pattern))
 
 
-def test_parallel_thread_pool_identical_under_numpy_kernel(small_corpus):
-    """The numpy kernel, fanned out per shard on the thread pool, must
-    reproduce the python reference bytes exactly (each shard worker
-    holds a private kernel clone, so this also exercises the cache
-    isolation the fan-out relies on)."""
-    from repro.index.kernels import numpy_available
-
-    if not numpy_available():
-        pytest.skip("numpy not installed")
-    corpus = small_corpus
-    sharded = ShardedIndex.build(corpus, 4, threshold=0.3, max_gram_len=4)
-    reference = ShardedFreeEngine(
-        corpus, sharded, workers=1, kernel="python"
-    )
-    with ShardedFreeEngine(
-        corpus, sharded, workers=3, pool="thread", kernel="numpy"
-    ) as threaded:
-        for pattern in PATTERNS:
-            assert result_bytes(threaded.search(pattern)) == \
-                result_bytes(reference.search(pattern))
-
-
 def test_batch_search_matches_individual_searches(small_corpus):
     """search_batch shares candidates but answers like N plain searches."""
     corpus = small_corpus

@@ -5,9 +5,7 @@ loaded back; for the whole benchmark query set the two images must
 produce **byte-identical candidate lists** and identical
 ``QueryMetrics`` lookup records — the v2 layout (lazy directory,
 block-skip decode) may change *when* bytes are decoded, never *what*
-the executor returns.  Checked unsharded and sharded, and under every
-available postings-kernel backend: the vectorized numpy kernel must be
-indistinguishable from the python reference in candidate output.
+the executor returns.  Checked unsharded and sharded.
 """
 
 import pytest
@@ -17,7 +15,6 @@ from repro.corpus.synthesis import build_corpus
 from repro.engine.executor import execute_plan, execute_plan_sharded
 from repro.engine.free import FreeEngine
 from repro.index.builder import build_multigram_index
-from repro.index.kernels import numpy_available, resolve_kernel
 from repro.index.serialize import (
     load_any_index,
     load_index,
@@ -28,17 +25,6 @@ from repro.index.sharded import ShardedIndex
 from repro.metrics import QueryMetrics
 from repro.plan.logical import LogicalPlan
 from repro.plan.physical import CompiledPlans, CoverPolicy, PhysicalPlan
-
-KERNELS = ["python", "numpy"]
-
-
-@pytest.fixture(params=KERNELS)
-def kernel(request):
-    """A fresh kernel instance per test (isolated decoded-block cache)."""
-    if request.param == "numpy" and not numpy_available():
-        pytest.skip("numpy not installed")
-    return resolve_kernel(request.param)
-
 
 @pytest.fixture(scope="module")
 def corpus():
@@ -66,14 +52,14 @@ def sharded_images(corpus, tmp_path_factory):
     return load_any_index(v1), load_any_index(v2)
 
 
-def _candidates(index, pattern, kernel=None):
+def _candidates(index, pattern):
     metrics = QueryMetrics()
     logical = LogicalPlan.from_pattern(pattern)
     physical = PhysicalPlan.compile(logical, index, CoverPolicy("all"))
     if physical.is_full_scan:
         return None, metrics
     return (
-        execute_plan(physical, index, None, metrics, kernel=kernel),
+        execute_plan(physical, index, None, metrics),
         metrics,
     )
 
@@ -83,40 +69,27 @@ def _lookup_counts(metrics):
 
 
 @pytest.mark.parametrize("name", sorted(BENCHMARK_QUERIES))
-def test_candidates_byte_identical(images, name, kernel):
+def test_candidates_byte_identical(images, name):
     eager, mapped = images
     pattern = BENCHMARK_QUERIES[name]
-    c1, m1 = _candidates(eager, pattern, kernel)
-    c2, m2 = _candidates(mapped, pattern, kernel)
+    c1, m1 = _candidates(eager, pattern)
+    c2, m2 = _candidates(mapped, pattern)
     assert c1 == c2
     assert _lookup_counts(m1) == _lookup_counts(m2)
 
 
 @pytest.mark.parametrize("name", sorted(BENCHMARK_QUERIES))
-def test_sharded_candidates_byte_identical(sharded_images, name, kernel):
+def test_sharded_candidates_byte_identical(sharded_images, name):
     v1, v2 = sharded_images
     plans = CompiledPlans(LogicalPlan.from_pattern(BENCHMARK_QUERIES[name]))
     m1, m2 = QueryMetrics(), QueryMetrics()
-    c1 = execute_plan_sharded(plans, v1, metrics=m1, kernel=kernel)
-    c2 = execute_plan_sharded(plans, v2, metrics=m2, kernel=kernel)
+    c1 = execute_plan_sharded(plans, v1, metrics=m1)
+    c2 = execute_plan_sharded(plans, v2, metrics=m2)
     assert c1 == c2
     assert _lookup_counts(m1) == _lookup_counts(m2)
 
 
-@pytest.mark.parametrize("name", sorted(BENCHMARK_QUERIES))
-def test_candidates_identical_across_kernels(images, name):
-    # Cross-backend differential: for each image format, the numpy
-    # kernel must return exactly the python kernel's candidate list.
-    if not numpy_available():
-        pytest.skip("numpy not installed")
-    pattern = BENCHMARK_QUERIES[name]
-    for index in images:
-        py, _ = _candidates(index, pattern, resolve_kernel("python"))
-        np_, _ = _candidates(index, pattern, resolve_kernel("numpy"))
-        assert py == np_
-
-
-def test_first_k_prefix_identical(images, kernel):
+def test_first_k_prefix_identical(images):
     # The first_k upper-bound probe must truncate both formats to the
     # same sorted prefix (the streaming kernel's early exit).
     eager, mapped = images
@@ -132,8 +105,7 @@ def test_first_k_prefix_identical(images, kernel):
                     results.append(None)
                 else:
                     results.append(
-                        execute_plan(physical, index, None, None,
-                                     first_k=5, kernel=kernel)
+                        execute_plan(physical, index, None, None, first_k=5)
                     )
             assert results[0] == results[1]
 

@@ -1,279 +1,33 @@
-"""Unit tests for the pluggable postings kernels.
+"""The postings kernel's observable surface.
 
-Covers backend resolution (explicit name > index preference >
-FREE_KERNEL env > python default), the aliasing regression both
-backends must honour (fresh-list results), int64-overflow fallback to
-the python kernel, the decoded-block LRU, cursor intersection against
-real blocked lists, and the kernel-backend observability surfaces
-(QueryMetrics field + bounded registry counter).
+One stateless kernel runs every query's AND/OR set operations; its
+name lands on every ``QueryMetrics``.  The end-to-end benchmark under
+``e2ebench/`` reads that surface — ``engine.kernel`` (its name and its
+``intersect_many``/``union_many``), the ``kernel=`` keyword of
+``execute_plan`` and ``metrics.kernel_backend`` in the serve payload —
+so :class:`TestHarnessContract` pins exactly what it reads.  The set
+operations themselves are tested in ``tests/test_postings.py``.
 """
+
+import http.client
+import json
 
 import pytest
 
-from repro.corpus.store import InMemoryCorpus
+from repro.corpus.store import DiskCorpus, InMemoryCorpus
+from repro.engine.executor import execute_plan
+from repro.engine.factory import open_engine
 from repro.engine.free import FreeEngine
-from repro.index import kernels as kernels_mod
 from repro.index.builder import build_multigram_index
-from repro.index.kernels import (
-    KERNEL_ENV_VAR,
-    PYTHON_KERNEL,
-    KernelError,
-    PostingsKernel,
-    PythonKernel,
-    numpy_available,
-    resolve_kernel,
-)
-from repro.index.postings import (
-    BlockCursor,
-    BlockedPostingsList,
-    ListCursor,
-    encode_gaps,
-)
-from repro.index.serialize import load_index, save_index
+from repro.index.postings import PYTHON_KERNEL, PostingsKernel
+from repro.index.serialize import save_index
 from repro.obs.registry import MetricsRegistry
-
-needs_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="numpy not installed"
+from repro.serve.service import (
+    QueryService,
+    ServeConfig,
+    ServerThread,
+    build_slots,
 )
-
-
-def make_numpy_kernel(**kwargs):
-    from repro.index.kernels import NumpyKernel
-
-    return NumpyKernel(**kwargs)
-
-
-class TestResolveKernel:
-    def test_default_is_python(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
-        assert resolve_kernel() is PYTHON_KERNEL
-
-    def test_explicit_python_returns_shared_instance(self):
-        assert resolve_kernel("python") is PYTHON_KERNEL
-
-    def test_instance_passes_through(self):
-        kernel = PythonKernel()
-        assert resolve_kernel(kernel) is kernel
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(KernelError):
-            resolve_kernel("fortran")
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_VAR, "python")
-        assert resolve_kernel() is PYTHON_KERNEL
-        # An explicit name always beats the environment.
-        monkeypatch.setenv(KERNEL_ENV_VAR, "fortran")
-        assert resolve_kernel("python") is PYTHON_KERNEL
-        with pytest.raises(KernelError):
-            resolve_kernel()
-
-    def test_auto_without_numpy_is_python(self, monkeypatch):
-        monkeypatch.setattr(
-            kernels_mod, "numpy_available", lambda: False
-        )
-        assert resolve_kernel("auto") is PYTHON_KERNEL
-
-    def test_explicit_numpy_without_numpy_raises(self, monkeypatch):
-        monkeypatch.setattr(
-            kernels_mod, "numpy_available", lambda: False
-        )
-        with pytest.raises(KernelError):
-            resolve_kernel("numpy")
-
-    @needs_numpy
-    def test_auto_with_numpy_is_numpy(self):
-        assert resolve_kernel("auto").name == "numpy"
-
-    @needs_numpy
-    def test_env_numpy(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_VAR, "numpy")
-        assert resolve_kernel().name == "numpy"
-
-    @needs_numpy
-    def test_numpy_instances_are_private(self):
-        # Unlike python (stateless, shared), every resolution returns
-        # a fresh numpy kernel: the decoded-block cache is per-engine.
-        a = resolve_kernel("numpy")
-        b = resolve_kernel("numpy")
-        assert a is not b
-        assert a.decoded_cache is not b.decoded_cache
-
-
-@pytest.fixture(
-    params=["python", "numpy"] if numpy_available() else ["python"]
-)
-def kernel(request):
-    if request.param == "python":
-        return PYTHON_KERNEL
-    return make_numpy_kernel()
-
-
-class TestSetOperations:
-    def test_intersect_sorted(self, kernel):
-        assert kernel.intersect_sorted([1, 3, 5, 9], [3, 4, 9]) == [3, 9]
-        assert kernel.intersect_sorted([], [1, 2]) == []
-        assert kernel.intersect_sorted([1, 2], []) == []
-
-    def test_intersect_many(self, kernel):
-        lists = [[1, 2, 3, 8], [2, 3, 8, 9], [0, 3, 8]]
-        assert kernel.intersect_many(lists) == [3, 8]
-        assert kernel.intersect_many([]) == []
-        assert kernel.intersect_many([[1, 2], [3]]) == []
-
-    def test_intersect_many_single_list_is_a_fresh_copy(self, kernel):
-        # The aliasing regression: the 1-list fast path must hand back
-        # a list the caller owns, exactly like union_many.
-        only = [1, 2, 3]
-        result = kernel.intersect_many([only])
-        assert result == only
-        assert result is not only
-
-    def test_union_many(self, kernel):
-        lists = [[1, 5], [2, 5, 7], [0]]
-        assert kernel.union_many(lists) == [0, 1, 2, 5, 7]
-        assert kernel.union_many(lists, limit=3) == [0, 1, 2]
-        assert kernel.union_many(lists, limit=0) == []
-        assert kernel.union_many([[], []]) == []
-
-    def test_union_many_single_list_is_a_fresh_copy(self, kernel):
-        only = [4, 5, 6]
-        result = kernel.union_many([only])
-        assert result == only
-        assert result is not only
-
-    def test_difference_sorted(self, kernel):
-        assert kernel.difference_sorted([1, 2, 3], [2]) == [1, 3]
-        assert kernel.difference_sorted([], [2]) == []
-        source = [1, 2]
-        result = kernel.difference_sorted(source, [])
-        assert result == source
-        assert result is not source
-
-    def test_huge_ids_fall_back_identically(self, kernel):
-        # 2**64 overflows int64: the numpy kernel must silently demote
-        # to the python reference, not raise or truncate.
-        a = [1, 2**63 - 1, 2**64, 2**64 + 10]
-        b = [2, 2**63 - 1, 2**64 + 10]
-        assert kernel.intersect_sorted(a, b) == [2**63 - 1, 2**64 + 10]
-        assert kernel.intersect_many([a, b]) == [2**63 - 1, 2**64 + 10]
-        assert kernel.union_many([a, b]) == sorted(set(a) | set(b))
-        assert kernel.difference_sorted(a, b) == [1, 2**64]
-
-    def test_intersect_cursors_on_blocked_lists(self, kernel):
-        left = BlockedPostingsList.from_ids(range(0, 600, 2),
-                                            block_size=16)
-        right = BlockedPostingsList.from_ids(range(0, 600, 3),
-                                             block_size=16)
-        expected = [i for i in range(0, 600) if i % 6 == 0]
-        result = kernel.intersect_cursors(
-            [BlockCursor(left, None), BlockCursor(right, None)]
-        )
-        assert result == expected
-
-    def test_intersect_cursors_limit_prefix(self, kernel):
-        left = BlockedPostingsList.from_ids(range(0, 600, 2),
-                                            block_size=16)
-        right = ListCursor(list(range(0, 600, 3)))
-        full = kernel.intersect_cursors([BlockCursor(left, None), right])
-        for limit in (0, 1, 5, len(full), len(full) + 3):
-            result = kernel.intersect_cursors(
-                [BlockCursor(left, None),
-                 ListCursor(list(range(0, 600, 3)))],
-                limit=limit,
-            )
-            assert result == full[:limit]
-
-    def test_intersect_cursors_mixed_and_flat(self, kernel):
-        ids = list(range(0, 100, 5))
-        flat = BlockedPostingsList.from_flat(encode_gaps(ids), len(ids))
-        other = ListCursor(list(range(0, 100, 4)))
-        result = kernel.intersect_cursors(
-            [BlockCursor(flat, None), other]
-        )
-        assert result == [i for i in range(0, 100) if i % 20 == 0]
-
-
-@needs_numpy
-class TestNumpyKernel:
-    def test_clone_is_independent(self):
-        kernel = make_numpy_kernel(cache_blocks=7)
-        clone = kernel.clone()
-        assert clone is not kernel
-        assert clone.decoded_cache is not kernel.decoded_cache
-        assert clone.decoded_cache.capacity == 7
-
-    def test_decoded_block_cache_hits_on_repeat(self):
-        kernel = make_numpy_kernel()
-        left = BlockedPostingsList.from_ids(range(0, 400, 2),
-                                            block_size=16)
-        right = BlockedPostingsList.from_ids(range(0, 400, 3),
-                                             block_size=16)
-
-        def run():
-            return kernel.intersect_cursors(
-                [BlockCursor(left, None), BlockCursor(right, None)]
-            )
-
-        first = run()
-        hits_before = kernel.decoded_cache.hits
-        assert run() == first
-        assert kernel.decoded_cache.hits > hits_before
-
-    def test_overflowing_block_demotes_to_python(self):
-        # A list whose tail block holds ids beyond int64 must still
-        # intersect exactly; the overflow sentinel is remembered.
-        huge = BlockedPostingsList.from_ids(
-            [1, 5, 9, 2**64, 2**64 + 4], block_size=2
-        )
-        other = ListCursor([5, 2**64 + 4])
-        kernel = make_numpy_kernel()
-        for _ in range(2):
-            result = kernel.intersect_cursors(
-                [BlockCursor(huge, None), other]
-            )
-            assert result == [5, 2**64 + 4]
-            other = ListCursor([5, 2**64 + 4])
-
-    def test_partially_advanced_cursor_falls_back(self):
-        # Semantics of advanced cursors belong to the python kernel;
-        # the numpy path must delegate, not rewind.
-        plist = BlockedPostingsList.from_ids(range(0, 200, 2),
-                                             block_size=16)
-        advanced = BlockCursor(plist, None)
-        advanced.next_geq(100)
-        result = make_numpy_kernel().intersect_cursors(
-            [advanced, ListCursor(list(range(0, 200, 3)))]
-        )
-        reference = BlockCursor(plist, None)
-        reference.next_geq(100)
-        assert result == PYTHON_KERNEL.intersect_cursors(
-            [reference, ListCursor(list(range(0, 200, 3)))]
-        )
-
-    def test_truncated_varint_raises_like_python(self):
-        bad = BlockedPostingsList.from_flat(b"\x80", 1)
-        kernel = make_numpy_kernel()
-        with pytest.raises(ValueError, match="truncated varint"):
-            kernel.intersect_cursors(
-                [BlockCursor(bad, None), ListCursor([0, 1])]
-            )
-
-    def test_vectorized_decode_matches_scalar(self):
-        from repro.index.postings import decode_gaps
-
-        ids = [0, 1, 127, 128, 300, 2**20, 2**35, 2**55 + 11]
-        data = encode_gaps(ids)
-        kernel = make_numpy_kernel()
-        decoded = kernel._decode_gaps_array(data, -1)
-        assert decoded is not None
-        assert decoded.tolist() == decode_gaps(data) == ids
-
-
-def _advanced_copy(plist, floor):
-    cursor = BlockCursor(plist, None)
-    cursor.next_geq(floor)
-    return cursor
 
 
 class TestKernelObservability:
@@ -282,50 +36,74 @@ class TestKernelObservability:
         texts = [f"motorola mpc{i} chip" for i in range(30)]
         return InMemoryCorpus.from_texts(texts)
 
-    def _engine(self, corpus, kernel_name, registry=None):
+    def _engine(self, corpus):
         index = build_multigram_index(
             corpus, threshold=0.4, max_gram_len=4
         )
-        return FreeEngine(corpus, index, registry=registry,
-                          kernel=kernel_name)
+        return FreeEngine(corpus, index)
 
     def test_metrics_record_backend(self, corpus):
-        engine = self._engine(corpus, "python")
+        engine = self._engine(corpus)
         report = engine.search("mpc[0-9]+")
         assert report.metrics.kernel_backend == "python"
         assert report.metrics.as_dict()["kernel_backend"] == "python"
         assert "kernel: python" in report.metrics.pretty()
 
-    @needs_numpy
-    def test_metrics_record_numpy_backend(self, corpus):
-        engine = self._engine(corpus, "numpy")
-        report = engine.search("mpc[0-9]+")
-        assert report.metrics.kernel_backend == "numpy"
-
-    def test_registry_counter_is_bounded(self, corpus):
-        registry = MetricsRegistry()
-        engine = self._engine(corpus, "python", registry=registry)
-        engine.search("mpc[0-9]+")
-        engine.search("motorola")
-        family = registry.snapshot()["free_kernel_backend"]
-        assert family["samples"] == {"backend=python": 2.0}
-
-    def test_index_backend_preference_adopted(self, corpus, tmp_path):
-        index = build_multigram_index(
-            corpus, threshold=0.4, max_gram_len=4
-        )
-        path = str(tmp_path / "pref.idx")
-        save_index(index, path, version=2)
-        loaded = load_index(path, kernel="python")
-        assert loaded.kernel_backend == "python"
-        engine = FreeEngine(corpus, loaded)
-        assert engine.kernel is PYTHON_KERNEL
-        # An explicit engine argument beats the index preference.
-        override = PythonKernel()
-        assert FreeEngine(corpus, loaded, kernel=override).kernel \
-            is override
-
     def test_engine_kernel_is_postings_kernel(self, corpus):
-        for name in (None, "python"):
-            engine = self._engine(corpus, name)
-            assert isinstance(engine.kernel, PostingsKernel)
+        engine = self._engine(corpus)
+        assert isinstance(engine.kernel, PostingsKernel)
+        assert engine.kernel is PYTHON_KERNEL
+
+
+class TestHarnessContract:
+    PATTERNS = [
+        "stanford",
+        "motorola.*(xpc|mpc)[0-9]+",
+        "(clinton|bush)",
+        r"\a+,\s[a-z][a-z]\s\d\d\d\d\d",  # NULL plan
+    ]
+
+    @pytest.fixture()
+    def images(self, corpus, multigram_index, tmp_path):
+        corpus_path = str(tmp_path / "corpus.img")
+        index_path = str(tmp_path / "index.img")
+        DiskCorpus.save(corpus_path, corpus)
+        save_index(multigram_index, index_path, version=2)
+        return corpus_path, index_path
+
+    def test_open_engine_kernel(self, images):
+        corpus_path, index_path = images
+        with DiskCorpus(corpus_path) as corpus, open_engine(
+            corpus, index_path
+        ) as engine:
+            assert engine.kernel.name == "python"
+            assert engine.kernel.intersect_many([[1, 2, 3], [2, 3]]) == [2, 3]
+            assert engine.kernel.union_many([[1, 3], [2]]) == [1, 2, 3]
+
+    def test_execute_plan_with_engine_kernel(self, images):
+        corpus_path, index_path = images
+        with DiskCorpus(corpus_path) as corpus, open_engine(
+            corpus, index_path
+        ) as engine:
+            for pattern in self.PATTERNS:
+                _logical, physical = engine.plan(pattern)
+                assert execute_plan(
+                    physical, engine.index, kernel=engine.kernel
+                ) == execute_plan(physical, engine.index), pattern
+
+    def test_serve_payload_names_the_kernel(self, corpus, multigram_index):
+        registry = MetricsRegistry()
+        config = ServeConfig(port=0, workers=1)
+        slots = build_slots(lambda: corpus, multigram_index, config, registry)
+        with ServerThread(QueryService(config, slots, registry)) as thread:
+            conn = http.client.HTTPConnection("127.0.0.1", thread.port)
+            try:
+                conn.request("POST", "/search", json.dumps(
+                    {"pattern": "stanford"}
+                ), {"Content-Type": "application/json"})
+                resp = conn.getresponse()
+                status, body = resp.status, resp.read()
+            finally:
+                conn.close()
+        assert status == 200
+        assert json.loads(body)["metrics"]["kernel_backend"] == "python"

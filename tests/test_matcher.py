@@ -4,11 +4,11 @@ import re
 
 import pytest
 
-from repro.errors import InternalError
+from repro.errors import InternalError, RegexSyntaxError
 from repro.regex.dfa import build_dfa
 from repro.regex.matcher import Matcher, to_stdlib_pattern
 from repro.regex.nfa import build_nfa
-from repro.regex.parser import parse
+from repro.regex.parser import MAX_NESTING_DEPTH, parse
 
 
 class TestContains:
@@ -171,6 +171,23 @@ class TestLazyPatterns:
         m = Matcher("a.{0,60}b")
         text = "a" + "x" * 50 + "b"
         assert list(m.finditer(text)) == [(0, len(text))]
+
+    def test_longest_gap_at_the_nesting_limit(self):
+        gap = MAX_NESTING_DEPTH - 1
+        pattern = f"a.{{0,{gap}}}b"
+        text = "zz" + "a" + "x" * gap + "b" + "a" + "x" * (gap + 1) + "b"
+        expected = [m.span() for m in re.finditer(pattern, text)]
+        assert expected == [(2, gap + 4)]
+        assert list(Matcher(pattern).finditer(text)) == expected
+        with pytest.raises(RegexSyntaxError):
+            Matcher(f"a.{{0,{gap + 1}}}b")
+
+    def test_deepest_groups_at_the_nesting_limit(self):
+        n = MAX_NESTING_DEPTH
+        m = Matcher("(" * n + "ab" + ")" * n)
+        assert list(m.finditer("xabyab")) == [(1, 3), (4, 6)]
+        with pytest.raises(RegexSyntaxError):
+            Matcher("(" * (n + 1) + "ab" + ")" * (n + 1))
 
 
 class TestBenchmarkQueriesMatch:

@@ -5,7 +5,8 @@ import pytest
 from repro.errors import RegexSyntaxError
 from repro.regex import ast
 from repro.regex.charclass import ALPHA, DIGIT, DOT, SPACE, WORD, CharClass
-from repro.regex.parser import parse
+from repro.regex.nfa import MAX_COUNTED_EXPANSION
+from repro.regex.parser import MAX_NESTING_DEPTH, parse
 
 
 class TestAtoms:
@@ -208,6 +209,69 @@ class TestErrors:
             parse("ab[")
         assert excinfo.value.position >= 2
         assert excinfo.value.pattern == "ab["
+
+
+class TestLimits:
+    """Patterns past the dialect's size limits fail at parse time."""
+
+    DEPTH = MAX_NESTING_DEPTH
+    COPIES = MAX_COUNTED_EXPANSION
+
+    @pytest.mark.parametrize("pattern", [
+        "x.{0,250}y", "(" * 300 + "a" + ")" * 300, "a{5000}",
+    ], ids=["gap", "groups", "count"])
+    def test_hostile_patterns_rejected(self, pattern):
+        with pytest.raises(RegexSyntaxError):
+            parse(pattern)
+
+    def test_group_nesting(self):
+        n = self.DEPTH
+        assert parse("(" * n + "a" + ")" * n) == parse("a")
+        with pytest.raises(RegexSyntaxError, match="nest"):
+            parse("(" * (n + 1) + "a" + ")" * (n + 1))
+
+    def test_bounded_gap_nesting(self):
+        # .{0,k} expands to k nested optional copies plus one level.
+        gap = self.DEPTH - 1
+        assert parse(f"x.{{0,{gap}}}y") == ast.concat(
+            ast.Char.literal("x"),
+            ast.Repeat(ast.Char(DOT), 0, gap),
+            ast.Char.literal("y"),
+        )
+        with pytest.raises(RegexSyntaxError, match="nests"):
+            parse(f"x.{{0,{gap + 1}}}y")
+
+    def test_groups_and_gaps_add_up(self):
+        gap = self.DEPTH - 11
+        parse("(" * 10 + f"x.{{0,{gap}}}y" + ")" * 10)
+        with pytest.raises(RegexSyntaxError, match="nests"):
+            parse("(" * 11 + f"x.{{0,{gap}}}y" + ")" * 11)
+
+    def test_stacked_quantifiers_count(self):
+        parse("a" + "?" * self.DEPTH)
+        with pytest.raises(RegexSyntaxError, match="nests"):
+            parse("a" + "?" * (self.DEPTH + 1))
+
+    def test_counted_copies(self):
+        parse(f"a{{{self.COPIES}}}")
+        parse(f"a{{{self.COPIES},}}")
+        with pytest.raises(RegexSyntaxError, match="copies"):
+            parse(f"a{{{self.COPIES + 1}}}")
+        with pytest.raises(RegexSyntaxError, match="copies"):
+            parse(f"a{{0,{self.COPIES + 1}}}")
+
+    def test_nested_repetitions_multiply(self):
+        parse("(a{64}){64}")
+        with pytest.raises(RegexSyntaxError, match="copies"):
+            parse("(a{65}){64}")
+        with pytest.raises(RegexSyntaxError, match="copies"):
+            parse("(a{0}){5000}")
+
+    def test_plus_counts_two_copies(self):
+        # r+ compiles as r r*: stacked pluses double the automaton.
+        parse("a" + "+" * 12)
+        with pytest.raises(RegexSyntaxError, match="copies"):
+            parse("a" + "+" * 13)
 
 
 class TestRoundTrip:

@@ -239,6 +239,20 @@ class TestMerges:
         for limit in range(len(full) + 2):
             assert union_many(lists, limit=limit) == full[:limit]
 
+    def test_ids_past_int64(self):
+        # Ids are python ints: nothing narrows them to a machine word.
+        a = [1, 2**63 - 1, 2**64, 2**64 + 10]
+        b = [2, 2**63 - 1, 2**64 + 10]
+        assert intersect_sorted(a, b) == [2**63 - 1, 2**64 + 10]
+        assert intersect_many([a, b]) == [2**63 - 1, 2**64 + 10]
+        assert union_many([a, b]) == sorted(set(a) | set(b))
+        assert difference_sorted(a, b) == [1, 2**64]
+        cursors = [
+            BlockCursor(BlockedPostingsList.from_ids(a, block_size=2)),
+            ListCursor(b),
+        ]
+        assert intersect_cursors(cursors) == [2**63 - 1, 2**64 + 10]
+
 
 class TestEncodeBlocks:
     def test_block_shapes(self):
@@ -399,3 +413,22 @@ class TestCursors:
         b = list(range(0, 300, 3))
         result = intersect_cursors([BlockCursor(a), ListCursor(b)])
         assert result == list(range(0, 300, 6))
+
+    def test_intersect_cursors_blocked_limit_is_prefix(self):
+        left = BlockedPostingsList.from_ids(range(0, 600, 2), block_size=16)
+        right = list(range(0, 600, 3))
+        full = intersect_cursors([BlockCursor(left), ListCursor(right)])
+        assert full == list(range(0, 600, 6))
+        for limit in (0, 1, 5, len(full), len(full) + 3):
+            result = intersect_cursors(
+                [BlockCursor(left), ListCursor(right)], limit=limit
+            )
+            assert result == full[:limit]
+
+    def test_intersect_cursors_flat_blocked_list(self):
+        # A FREEIDX1 stream wrapped as a one-block BlockedPostingsList.
+        ids = list(range(0, 100, 5))
+        flat = BlockedPostingsList.from_flat(encode_gaps(ids), len(ids))
+        other = ListCursor(list(range(0, 100, 4)))
+        result = intersect_cursors([BlockCursor(flat), other])
+        assert result == list(range(0, 100, 20))

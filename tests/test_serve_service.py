@@ -211,6 +211,16 @@ class TestEndpoints:
         )
         assert status == 400
 
+    @pytest.mark.parametrize("pattern", [
+        "x.{0,250}y", "(" * 300 + "a" + ")" * 300, "a{5000}",
+    ], ids=["gap", "groups", "count"])
+    def test_pattern_past_limits_is_400(self, server, pattern):
+        status, _headers, body = request(
+            server.port, "POST", "/search", {"pattern": pattern}
+        )
+        assert status == 400
+        assert "limit" in json.loads(body)["error"]
+
     def test_bad_limit_is_400(self, server):
         for bad in (0, -2, "five", True):
             status, _headers, _body = request(
