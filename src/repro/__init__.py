@@ -39,7 +39,6 @@ from repro.engine import (
     Match,
     ScanEngine,
     SearchReport,
-    ShardedFreeEngine,
     frequency_ranked,
 )
 from repro.errors import (
@@ -107,7 +106,6 @@ __all__ = [
     "SegmentedGramIndex",
     "SegmentedFreeEngine",
     "ShardedIndex",
-    "ShardedFreeEngine",
     "shard_ranges",
     "SuffixArrayIndex",
     # plan

@@ -1,7 +1,7 @@
 """Concurrency rules (CONC001–006) over the CFG/dataflow layer.
 
 These rules guard the serve/engine concurrency surface — the asyncio
-query loop, per-worker thread executors and fork-based shard pools —
+query loop, per-worker thread executors and fork-based build pools —
 whose correctness the FREE index proofs do not cover.  Each rule is a
 may-analysis over :mod:`repro.analysis.flow` facts:
 
@@ -16,7 +16,8 @@ CONC002    no ``await`` while a synchronous ``threading`` lock is
            across an arbitrary suspension and deadlocks the loop)
 CONC003    no fork-based pool creation on a CFG path after a thread
            has started (fork snapshots lock state; pools must be
-           created pre-thread, cf. ``ShardedFreeEngine.prewarm``)
+           created pre-thread, as the index build pool of
+           :mod:`repro.index.parallel` is)
 CONC004    no attribute of a long-lived object written from both the
            event-loop context and an executor context without a lock
 CONC005    no unbounded metric label values: every expression flowing
@@ -89,7 +90,7 @@ _BLOCKING_CANONICAL = {
     "socket.getaddrinfo": "socket.getaddrinfo()",
 }
 
-#: Engine entry points that hit disk / shard pools (CONC001).
+#: Engine entry points that hit disk (CONC001).
 _ENGINE_BLOCKING_METHODS = frozenset({
     "search", "search_batch", "first_k", "explain",
 })
@@ -540,7 +541,7 @@ def _rule_fork_after_thread(ctx: _ModuleContext) -> List[RuleHit]:
                         f"fork-based pool created via {fork_text}(...) "
                         f"on a path after Thread.start() in "
                         f"{qualname}(); fork after threads snapshots "
-                        f"held locks — create pools first (prewarm)",
+                        f"held locks — create pools before threads",
                         location=_pos(fork_call),
                     ),
                     FlowJustification(

@@ -573,10 +573,11 @@ def check_sharded_index(
 ) -> List[Finding]:
     """Partition invariants (SHD001..SHD003) plus per-shard index checks.
 
-    The sharded engine's union merge relies on the partition being a
-    disjoint, contiguous tiling of ``[0, n_docs)`` in shard order
-    (SHD001) — that is what makes shard-ordinal concatenation the
-    sorted global union.  Obs 3.8 must also hold *per shard* (SHD002),
+    A FREESHRD image records only each shard's doc range, and its
+    shards address the corpus by dense global id, so the partition
+    must be a disjoint, contiguous tiling of ``[0, n_docs)`` in shard
+    order (SHD001) — otherwise a shard's local ids map to the wrong
+    documents.  Obs 3.8 must also hold *per shard* (SHD002),
     since each shard is a self-contained prefix-free index over its own
     slice of the corpus, and the per-shard stats must sum to the
     whole-corpus figures (SHD003) so capacity planning on shard stats
@@ -599,9 +600,10 @@ def check_sharded_index(
             findings.append(make_finding(
                 "SHD001",
                 f"shard ids are not the contiguous range "
-                f"[{expected_next}, {expected_next + len(ids)}) — the "
-                f"union merge by shard ordinal is only sorted for a "
-                f"contiguous tiling (first deviating ids: {witnesses})",
+                f"[{expected_next}, {expected_next + len(ids)}) — an "
+                f"image's doc ranges only map local ids to the right "
+                f"documents for a contiguous tiling (first deviating "
+                f"ids: {witnesses})",
                 subject=subject,
             ))
         expected_next += len(ids)

@@ -3,8 +3,8 @@
 The serve stack owns real kernel resources — mmap'd index images,
 corpus file handles, fork/thread pools, sockets, query-log handles —
 and PR 6 found two lifecycle bugs at runtime that these rules catch
-statically: the ``_FORK_SHARED`` strong-reference leak (engines pinned
-forever by a module registry) and the unmanaged CLI engine (opened,
+statically: the fork-pool registry's strong-reference leak (engines
+pinned forever by a module registry) and the unmanaged CLI engine (opened,
 used, never closed on error paths).
 
 =========  ============================================================
@@ -68,7 +68,7 @@ KNOWN_FACTORIES = frozenset({
     "ThreadPoolExecutor",
     "ServerThread",
     "FreeEngine",
-    "ShardedFreeEngine",
+    "SegmentedFreeEngine",
     "MappedGramIndex",
     "open_engine",
     "wrap_index",

@@ -91,7 +91,7 @@ def check_concurrency_paths(
 
 def run_check(
     index: Optional[
-        Union[GramIndex, SegmentedGramIndex, ShardedIndex, str]
+        Union[GramIndex, SegmentedGramIndex, str]
     ] = None,
     patterns: Optional[Sequence[str]] = None,
     lint: bool = False,
@@ -146,10 +146,10 @@ def run_check(
         if isinstance(index, IngestDirectory):
             report.extend(check_ingest_directory(index))
             index = index.index  # plan checks run over the mounted view
-        elif isinstance(index, SegmentedGramIndex):
-            report.extend(check_segmented_index(index, corpus_chars))
         elif isinstance(index, ShardedIndex):
             report.extend(check_sharded_index(index, corpus_chars))
+        elif isinstance(index, SegmentedGramIndex):
+            report.extend(check_segmented_index(index, corpus_chars))
         else:
             report.extend(check_gram_index(index, corpus_chars))
         if build_report is not None and isinstance(index, GramIndex):
@@ -179,9 +179,9 @@ def run_check(
 
 
 def _resolve_index(
-    index: Union[GramIndex, SegmentedGramIndex, ShardedIndex, str],
-) -> Union[GramIndex, SegmentedGramIndex, ShardedIndex, "object"]:
-    if isinstance(index, (GramIndex, SegmentedGramIndex, ShardedIndex)):
+    index: Union[GramIndex, SegmentedGramIndex, str],
+) -> Union[GramIndex, SegmentedGramIndex, "object"]:
+    if isinstance(index, (GramIndex, SegmentedGramIndex)):
         return index
     if os.path.isdir(index):
         # An ingest directory: open read-only (no WAL handle taken, no
@@ -196,7 +196,7 @@ def _resolve_index(
 
 def _check_plans(
     report: AnalysisReport,
-    index: Union[GramIndex, SegmentedGramIndex, ShardedIndex],
+    index: Union[GramIndex, SegmentedGramIndex],
     patterns: Optional[Sequence[str]],
     policy: Union[CoverPolicy, str],
 ) -> None:
@@ -210,10 +210,9 @@ def _check_plans(
         targets: List[GramIndex] = [
             segment.index for segment in index.segments
         ]
-        part_name = "segment"
-    elif isinstance(index, ShardedIndex):
-        targets = [shard.index for shard in index.shards]
-        part_name = "shard"
+        part_name = (
+            "shard" if isinstance(index, ShardedIndex) else "segment"
+        )
     else:
         targets = [index]
         part_name = ""

@@ -23,11 +23,8 @@ from repro.bench.workloads import Workload, default_workload
 from repro.corpus.store import CorpusStore
 from repro.engine.free import FreeEngine
 from repro.engine.scan import ScanEngine
-from repro.engine.sharded import ShardedFreeEngine
 from repro.index.builder import build_multigram_index
 from repro.index.postings import PYTHON_KERNEL
-from repro.index.kgram import build_complete_index
-from repro.index.sharded import ShardedIndex
 from repro.iomodel.diskmodel import DiskModel
 from repro.obs.registry import MetricsRegistry
 from repro.plan.physical import CoverPolicy
@@ -466,178 +463,6 @@ def write_bench_core(
 ) -> Dict[str, object]:
     """Run :func:`run_core` and persist the record as JSON."""
     record = run_core(workload, queries=queries, repeats=repeats)
-    with open(path, "w", encoding="utf-8") as out:
-        json.dump(record, out, indent=2, sort_keys=True)
-        out.write("\n")
-    return record
-
-
-# ---------------------------------------------------------------------------
-# E11: sharded parallel execution (CI artifact BENCH_free_sharded.json)
-# ---------------------------------------------------------------------------
-
-#: Format tag of the BENCH_free_sharded.json artifact.
-BENCH_SHARDED_SCHEMA = "free-bench-sharded/1"
-
-
-def run_sharded(
-    workload: Optional[Workload] = None,
-    queries: Optional[Dict[str, str]] = None,
-    repeats: int = 3,
-    n_shards: int = 4,
-    workers: int = 4,
-) -> Dict[str, object]:
-    """Sharded fan-out speedup over the single-shard baseline.
-
-    Builds an ``n_shards``-way :class:`ShardedIndex` over the workload
-    corpus, runs the benchmark query set ``repeats`` times on (a) the
-    plain single-index :class:`FreeEngine` and (b) a
-    :class:`ShardedFreeEngine` with a ``workers``-process pool, and
-    reports both latency distributions plus their ratio.  Every query's
-    match and matching-unit counts must agree between the two engines
-    (the cheap in-benchmark slice of the differential soundness
-    contract; the byte-identical check lives in
-    ``tests/test_differential_soundness.py``).
-
-    Two speedup figures are recorded, following the repo-wide
-    convention that figure *shapes* are compared on the simulated
-    :class:`DiskModel` cost (EXPERIMENTS.md):
-
-    * ``io_speedup`` — per query, baseline simulated cost divided by
-      the **critical path** of the sharded run (the most expensive
-      single shard, which bounds the parallel makespan).  Deterministic
-      and hardware-independent: this is the headline number, and the
-      one CI asserts on.
-    * ``speedup`` — measured wall-clock ratio.  Informational only: it
-      reflects the host (``cpu_count`` is recorded beside it), and on a
-      single-core machine process fan-out *cannot* beat the baseline
-      on wall time no matter how well the work partitions.
-
-    A warm-up round (not measured) runs first so both engines are
-    compared with hot matcher/plan caches — the steady state the
-    repeated-traffic ROADMAP goal cares about, and for the sharded
-    engine it also forks the worker pool up front.
-    """
-    workload = workload or default_workload()
-    queries = queries or BENCHMARK_QUERIES
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    corpus = workload.corpus
-    build_started = time.perf_counter()
-    sharded_index = ShardedIndex.build(
-        corpus, n_shards, threshold=workload.threshold
-    )
-    shard_build_seconds = time.perf_counter() - build_started
-    baseline_lat: List[float] = []
-    sharded_lat: List[float] = []
-    io_ratios: List[float] = []
-    total_matches = 0
-    # Context managers, not bare construction: the sharded engine owns
-    # a process pool and a fork-registry token that must be released on
-    # every exit path (see ShardedFreeEngine.close).
-    with FreeEngine(
-        corpus, workload.multigram, disk=DiskModel()
-    ) as baseline, ShardedFreeEngine(
-        corpus, sharded_index, workers=workers, disk=DiskModel()
-    ) as sharded:
-        for pattern in queries.values():  # warm-up, unmeasured
-            baseline.search(pattern, collect_matches=False)
-            sharded.search(pattern, collect_matches=False)
-        for round_index in range(repeats):
-            for name, pattern in queries.items():
-                r_base = baseline.search(pattern, collect_matches=False)
-                r_shard = sharded.search(pattern, collect_matches=False)
-                if (
-                    r_base.n_matches != r_shard.n_matches
-                    or r_base.matching_units != r_shard.matching_units
-                ):
-                    raise AssertionError(
-                        f"{name}: sharded engine disagrees with baseline "
-                        f"({r_base.n_matches}/{r_base.matching_units} vs "
-                        f"{r_shard.n_matches}/{r_shard.matching_units})"
-                    )
-                baseline_lat.append(r_base.total_seconds)
-                sharded_lat.append(r_shard.total_seconds)
-                total_matches += r_base.n_matches
-                if round_index == 0:
-                    # Simulated cost is deterministic: one measurement
-                    # per query.  The parallel makespan is bounded by
-                    # the most expensive shard (the critical path).
-                    critical_path = max(
-                        sharded._search_shard_local(
-                            ordinal, pattern, False
-                        ).disk.total_cost
-                        for ordinal in range(n_shards)
-                    )
-                    io_ratios.append(
-                        r_base.io_cost / critical_path
-                        if critical_path else float("inf")
-                    )
-    baseline_lat.sort()
-    sharded_lat.sort()
-    n_queries = len(baseline_lat)
-
-    def summary(values: List[float]) -> Dict[str, float]:
-        return {
-            "p50": _percentile(values, 0.50),
-            "p95": _percentile(values, 0.95),
-            "mean": sum(values) / n_queries,
-        }
-
-    base_summary = summary(baseline_lat)
-    shard_summary = summary(sharded_lat)
-    io_ratios.sort()
-    return {
-        "schema": BENCH_SHARDED_SCHEMA,
-        "name": "free_sharded",
-        "workload": {
-            "pages": len(corpus),
-            "corpus_chars": corpus.total_chars,
-            "seed": workload.seed,
-            "threshold": workload.threshold,
-            "queries": len(queries),
-            "repeats": repeats,
-            "n_shards": n_shards,
-            "workers": workers,
-        },
-        # May be None: os.cpu_count() is allowed to fail (containers,
-        # exotic platforms).  Consumers must render that case.
-        "cpu_count": os.cpu_count(),
-        "baseline_latency_seconds": base_summary,
-        "sharded_latency_seconds": shard_summary,
-        "speedup": {
-            quantile: (
-                base_summary[quantile] / shard_summary[quantile]
-                if shard_summary[quantile] else 0.0
-            )
-            for quantile in ("p50", "p95", "mean")
-        },
-        "io_speedup": {
-            "p50": _percentile(io_ratios, 0.50),
-            "p95": _percentile(io_ratios, 0.95),
-            "mean": sum(io_ratios) / len(io_ratios),
-            "min": io_ratios[0],
-            "max": io_ratios[-1],
-        },
-        "shard_build_seconds": shard_build_seconds,
-        "shard_stats": sharded_index.shard_stats(),
-        "matches": total_matches,
-    }
-
-
-def write_bench_sharded(
-    path: str,
-    workload: Optional[Workload] = None,
-    queries: Optional[Dict[str, str]] = None,
-    repeats: int = 3,
-    n_shards: int = 4,
-    workers: int = 4,
-) -> Dict[str, object]:
-    """Run :func:`run_sharded` and persist the record as JSON."""
-    record = run_sharded(
-        workload, queries=queries, repeats=repeats,
-        n_shards=n_shards, workers=workers,
-    )
     with open(path, "w", encoding="utf-8") as out:
         json.dump(record, out, indent=2, sort_keys=True)
         out.write("\n")

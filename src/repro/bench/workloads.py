@@ -10,8 +10,8 @@ see DESIGN.md's substitution table).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Tuple
 
 from repro.corpus.store import InMemoryCorpus
 from repro.corpus.synthesis import build_corpus

@@ -192,11 +192,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--trace", action="store_true",
         help="record the request as a span tree and print it",
     )
-    p_search.add_argument(
-        "--workers", type=int, default=1, metavar="K",
-        help="worker processes for a sharded index (per-shard fan-out; "
-             "ignored for single-index images)",
-    )
     p_search.set_defaults(func=_cmd_search)
 
     p_explain = sub.add_parser("explain", help="show the access plan")
@@ -299,7 +294,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--experiment",
         choices=[
             "table3", "fig9", "fig10", "fig11", "fig12",
-            "threshold", "policy", "repeat", "core", "sharded",
+            "threshold", "policy", "repeat", "core",
             "postings", "serve", "ingest", "all",
         ],
         default="all",
@@ -310,16 +305,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_bench.add_argument(
         "--out", default=None, metavar="PATH",
-        help="where --experiment core/sharded/postings writes its JSON "
+        help="where --experiment core/postings writes its JSON "
              "record (default: BENCH_free_<experiment>.json)",
-    )
-    p_bench.add_argument(
-        "--shards", type=int, default=4, metavar="N",
-        help="shard count for --experiment sharded",
-    )
-    p_bench.add_argument(
-        "--workers", type=int, default=4, metavar="K",
-        help="worker processes for --experiment sharded",
     )
     p_bench.set_defaults(func=_cmd_bench)
 
@@ -390,11 +377,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--query-log-max-bytes", type=int, default=None, metavar="BYTES",
         help="rotate the query log past this size (old file -> .1)",
-    )
-    p_serve.add_argument(
-        "--shard-workers", type=int, default=1, metavar="K",
-        help="per-shard fan-out processes inside each worker engine "
-             "(sharded images only)",
     )
     p_serve.add_argument(
         "--trace-sample", type=float, default=0.01, metavar="RATE",
@@ -557,15 +539,11 @@ def _split_query_target(
 def _cmd_search(args: argparse.Namespace) -> int:
     import contextlib
 
-    if args.workers < 1:
-        print("error: --workers must be >= 1", file=sys.stderr)
-        return 2
     corpus_path, index_path, pattern = _split_query_target(args)
     args.pattern = pattern
-    # Engines are context-managed on every CLI path: a sharded image
-    # opens a worker pool and registers a fork token that must be
-    # released even when printing fails (see ShardedFreeEngine.close);
-    # an ingest directory's handle closes with its engine.
+    # Engines are context-managed on every CLI path: an ingest
+    # directory's handle closes with its engine even when printing
+    # fails.
     with contextlib.ExitStack() as stack:
         corpus = (
             stack.enter_context(DiskCorpus(corpus_path))
@@ -573,7 +551,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
             else None
         )
         engine = stack.enter_context(
-            open_engine(corpus, index_path, workers=args.workers)
+            open_engine(corpus, index_path)
         )
         report = engine.search(
             args.pattern, limit=args.limit, trace=args.trace
@@ -710,7 +688,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         timeout_seconds=args.timeout if args.timeout > 0 else None,
         query_log_path=args.query_log,
         query_log_max_bytes=args.query_log_max_bytes,
-        shard_workers=args.shard_workers,
         trace_sample_rate=args.trace_sample,
         slow_trace_seconds=args.slow_trace,
         trace_store_size=args.trace_store,
@@ -839,11 +816,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return code
 
 
-def _cpus_text(cpu_count: object) -> str:
-    """Render a possibly-None os.cpu_count() for bench summaries."""
-    return f"{cpu_count} cpus" if cpu_count is not None else "unknown cpus"
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
     if args.repeats < 1:
         print("error: --repeats must be >= 1", file=sys.stderr)
@@ -853,32 +825,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         if args.pages
         else default_workload()
     )
-    if args.experiment == "sharded":
-        if args.shards < 1 or args.workers < 1:
-            print(
-                "error: --shards and --workers must be >= 1",
-                file=sys.stderr,
-            )
-            return 2
-        out = args.out or "BENCH_free_sharded.json"
-        record = runner_mod.write_bench_sharded(
-            out, workload, n_shards=args.shards, workers=args.workers,
-        )
-        speedup = cast(Dict[str, float], record["speedup"])
-        io_speedup = cast(Dict[str, float], record["io_speedup"])
-        base = cast(Dict[str, float], record["baseline_latency_seconds"])
-        shard = cast(Dict[str, float], record["sharded_latency_seconds"])
-        print(
-            f"sharded: shards={args.shards} workers={args.workers} "
-            f"io speedup p50 x{io_speedup['p50']:.2f} "
-            f"(critical path, deterministic); "
-            f"wall p50 {base['p50'] * 1000:.2f}ms -> "
-            f"{shard['p50'] * 1000:.2f}ms "
-            f"(x{speedup['p50']:.2f} on "
-            f"{_cpus_text(record['cpu_count'])}) "
-            f"-> {out}"
-        )
-        return 0
     if args.experiment == "serve":
         out = args.out or "BENCH_free_serve.json"
         record = runner_mod.write_bench_serve(out, workload)

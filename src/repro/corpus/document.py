@@ -9,7 +9,7 @@ confirmation step re-reads whole data units.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)

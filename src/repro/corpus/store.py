@@ -26,7 +26,6 @@ so sequential iteration is one forward read and ``get`` is one seek.
 from __future__ import annotations
 
 import io
-import os
 import struct
 from abc import ABC, abstractmethod
 from typing import Iterable, Iterator, List, Sequence

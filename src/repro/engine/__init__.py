@@ -15,13 +15,10 @@ from __future__ import annotations
 from repro.engine.free import FreeEngine
 from repro.engine.results import Match, SearchReport, frequency_ranked
 from repro.engine.scan import ScanEngine
-from repro.engine.sharded import ShardedFreeEngine, ShardSearchResult
 
 __all__ = [
     "FreeEngine",
     "ScanEngine",
-    "ShardedFreeEngine",
-    "ShardSearchResult",
     "Match",
     "SearchReport",
     "frequency_ranked",

@@ -20,9 +20,7 @@ size is recorded — the raw material of ``free explain --analyze``.
 
 from __future__ import annotations
 
-import heapq
-from concurrent.futures import Executor
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import List, Optional
 
 from repro.errors import PlanError
 from repro.index.multigram import GramIndex
@@ -37,11 +35,8 @@ from repro.iomodel.diskmodel import DiskModel
 from repro.metrics import QueryMetrics
 from repro.obs.trace import maybe_span
 from repro.plan.physical import (
-    CompiledPlans, PAll, PAnd, PLookup, POr, PhysNode, PhysicalPlan,
+    PAll, PAnd, PLookup, POr, PhysNode, PhysicalPlan,
 )
-
-if TYPE_CHECKING:  # index.sharded imports this module: defer.
-    from repro.index.sharded import ShardedIndex
 
 
 def execute_plan(
@@ -178,94 +173,3 @@ def _evaluate(
             )
         return merged
     raise PlanError(f"unknown physical node {type(node).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# Sharded execution: per-shard plans, deterministic union merge
-# ---------------------------------------------------------------------------
-
-def merge_shard_candidates(parts: Sequence[List[int]]) -> List[int]:
-    """Union per-shard candidate lists into one globally-sorted list.
-
-    ``parts`` must be ordered *by shard ordinal*, never by completion
-    order — a fan-out that concatenated results as futures finished
-    would interleave doc ids across shards and break the global
-    ordering that first-k truncation accounting depends on (a truncated
-    query must read exactly the same unit prefix sharded as unsharded).
-
-    With the contiguous partition of :func:`repro.index.sharded.
-    shard_ranges`, shard-ordinal concatenation *is* globally sorted and
-    costs O(n); the sortedness is verified at the shard boundaries and,
-    should a non-contiguous partition ever feed this merge, the lists
-    are heap-merged instead (still deterministic, still sorted).
-    """
-    filled = [part for part in parts if part]
-    if not filled:
-        return []
-    for previous, current in zip(filled, filled[1:]):
-        if previous[-1] >= current[0]:
-            # Overlapping / out-of-order shard ranges: k-way merge with
-            # duplicate elimination keeps the union sorted and exact.
-            merged: List[int] = []
-            for doc_id in heapq.merge(*filled):
-                if not merged or merged[-1] != doc_id:
-                    merged.append(doc_id)
-            return merged
-    out: List[int] = []
-    for part in filled:
-        out.extend(part)
-    return out
-
-
-def execute_plan_sharded(
-    plans: CompiledPlans,
-    sharded: "ShardedIndex",
-    pool: Optional[Executor] = None,
-    disk: Optional[DiskModel] = None,
-    metrics: Optional[QueryMetrics] = None,
-) -> Optional[List[int]]:
-    """Evaluate ``plans`` against every shard; union the results.
-
-    The per-shard work (fetch or compile the shard's physical plan,
-    run the postings operations, map local ids to global) is pure
-    compute on immutable shard state, so with a ``pool`` (any
-    :class:`concurrent.futures.Executor`) the shards are fanned out
-    concurrently.  Results are collected **by shard ordinal** and all
-    shared-state effects — disk charges, per-query metrics — are
-    applied in shard order on the calling thread, so the outcome is
-    bit-identical to the sequential path regardless of worker timing.
-
-    Returns ``None`` (scan everything) only when *every* shard's plan
-    collapsed to a full scan.
-    """
-    ordinals = range(sharded.n_shards)
-    if pool is None or sharded.n_shards == 1:
-        results = [
-            sharded.shard_candidates(ordinal, plans)
-            for ordinal in ordinals
-        ]
-    else:
-        futures = [
-            pool.submit(sharded.shard_candidates, ordinal, plans)
-            for ordinal in ordinals
-        ]
-        results = [future.result() for future in futures]
-
-    parts: List[List[int]] = []
-    all_scan = True
-    for (start, stop), (ids, shard_metrics) in zip(
-        sharded.doc_ranges(), results
-    ):
-        if ids is None:
-            ids = list(range(start, stop))
-        else:
-            all_scan = False
-        if metrics is not None:
-            metrics.absorb(shard_metrics)
-        if disk is not None:
-            for record in shard_metrics.lookups:
-                disk.charge_postings(record.n_ids)
-        parts.append(ids)
-    if all_scan:
-        return None
-    return merge_shard_candidates(parts)

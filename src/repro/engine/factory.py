@@ -1,10 +1,10 @@
 """Open an index image and wrap it in the matching engine.
 
 The CLI, the benchmarks and the ``free serve`` service all need the
-same dispatch: a FREESHRD image gets a
-:class:`~repro.engine.sharded.ShardedFreeEngine`, a segmented (ingest)
-index a :class:`~repro.index.segmented.SegmentedFreeEngine`, anything
-else a plain :class:`~repro.engine.free.FreeEngine`.  Keeping the
+same dispatch: a list of index parts — a FREESHRD image's shards or a
+segmented (ingest) index's segments — gets a
+:class:`~repro.index.segmented.SegmentedFreeEngine`, anything else a
+plain :class:`~repro.engine.free.FreeEngine`.  Keeping the
 dispatch here guarantees every entry point serves identical results for
 identical images — the serve differential tests compare the HTTP
 payload against an engine built through this same factory.
@@ -22,21 +22,20 @@ from typing import Optional, Union
 
 from repro.corpus.store import CorpusStore
 from repro.engine.free import FreeEngine
-from repro.engine.sharded import ShardedFreeEngine
-from repro.errors import IngestError
+from repro.errors import FreeError, IngestError
 from repro.index.multigram import GramIndex
 from repro.index.segmented import SegmentedFreeEngine, SegmentedGramIndex
 from repro.index.serialize import load_any_index
 from repro.index.sharded import ShardedIndex
 from repro.obs.registry import MetricsRegistry
 
-AnyIndex = Union[GramIndex, ShardedIndex, SegmentedGramIndex]
+#: ``ShardedIndex`` is a ``SegmentedGramIndex``.
+AnyIndex = Union[GramIndex, SegmentedGramIndex]
 
 
 def wrap_index(
     corpus: CorpusStore,
     index: AnyIndex,
-    workers: int = 1,
     registry: Optional[MetricsRegistry] = None,
     plan_cache_size: int = 128,
     candidate_cache_size: int = 0,
@@ -44,19 +43,14 @@ def wrap_index(
 ) -> FreeEngine:
     """Wrap an already-loaded index in the right engine kind.
 
-    ``workers`` only applies to sharded images (per-shard fan-out);
-    single-index images ignore it.  The service layer loads one index
-    and calls this once per worker thread with that shared object.
+    The service layer loads one index and calls this once per worker
+    thread with that shared object.  A sharded image addresses the
+    corpus by dense global id, so its document count must match.
     """
-    if isinstance(index, ShardedIndex):
-        return ShardedFreeEngine(
-            corpus,
-            index,
-            workers=workers,
-            registry=registry,
-            plan_cache_size=plan_cache_size,
-            candidate_cache_size=candidate_cache_size,
-            matcher_cache_size=matcher_cache_size,
+    if isinstance(index, ShardedIndex) and index.n_docs != len(corpus):
+        raise FreeError(
+            f"sharded index covers {index.n_docs} docs but the corpus "
+            f"has {len(corpus)}"
         )
     if isinstance(index, SegmentedGramIndex):
         return SegmentedFreeEngine(
@@ -110,7 +104,6 @@ def open_ingest_engine(
 def open_engine(
     corpus: Optional[CorpusStore],
     index_path: str,
-    workers: int = 1,
     registry: Optional[MetricsRegistry] = None,
     plan_cache_size: int = 128,
     candidate_cache_size: int = 0,
@@ -139,7 +132,6 @@ def open_engine(
     return wrap_index(
         corpus,
         load_any_index(index_path),
-        workers=workers,
         registry=registry,
         plan_cache_size=plan_cache_size,
         candidate_cache_size=candidate_cache_size,

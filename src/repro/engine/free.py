@@ -19,7 +19,7 @@ cache (ROADMAP: heavy repeated traffic):
 * a **plan cache** — LRU keyed by ``(pattern, cover_policy,
   distribute)``; each entry (:class:`~repro.plan.physical.CompiledPlans`)
   holds the logical plan plus one physical plan per index part it has
-  run against (the flat index, a segment's, a shard's), kept with the
+  run against (the flat index or a segment's), kept with the
   part's epoch — a sealed segment is planned once for its lifetime;
 * a **candidate cache** (off by default) — LRU of materialized
   candidate-id lists; a hit skips the whole postings phase, including
@@ -91,7 +91,7 @@ from repro.regex.matcher import Matcher
 _SCAN_ALL = object()
 
 #: Closed vocabulary of engine metric label values (CONC005).
-_ENGINE_LABELS = frozenset({"free", "scan", "sharded", "segmented"})
+_ENGINE_LABELS = frozenset({"free", "scan", "segmented"})
 
 
 class _BatchGroup:
@@ -213,22 +213,12 @@ class FreeEngine:
 
         The base engine holds none beyond its caches (dropped here so a
         closed engine does not pin candidate lists); subclasses with
-        real resources (worker pools, fork-registry entries) override
-        and must stay safe to call twice.  Long-lived callers — the CLI,
+        real resources (the segmented engine's owned ingest directory)
+        override and must stay safe to call twice.  Long-lived callers — the CLI,
         the benchmarks, ``free serve`` — use the engine as a context
         manager so this runs on every exit path.
         """
         self.invalidate_caches()
-
-    def prewarm(self) -> "FreeEngine":
-        """Eagerly create deferred resources; returns ``self``.
-
-        The base engine has nothing to warm.  Subclasses that build
-        worker pools lazily override this so callers about to start
-        threads (the serve stack) can force pool creation *first* —
-        forking after threads exist snapshots held locks (CONC003).
-        """
-        return self
 
     def __enter__(self) -> "FreeEngine":
         return self
@@ -478,7 +468,7 @@ class FreeEngine:
         physical plans are structurally equal (the candidate set is a
         pure function of the plan and the immutable index contents).
         Without a physical plan (no index attached; subclasses that
-        plan per shard/segment) only the pattern itself is a safe key.
+        plan per segment) only the pattern itself is a safe key.
         """
         _logical, physical = self.plan(pattern)
         if physical is not None:

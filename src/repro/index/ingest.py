@@ -46,9 +46,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import (
-    TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Set, Tuple,
-)
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.corpus.document import DataUnit
 from repro.corpus.store import CorpusStore, InMemoryCorpus
@@ -58,12 +56,8 @@ from repro.index.multigram import GramIndex
 from repro.index.segmented import Segment, SegmentedGramIndex
 from repro.index.serialize import load_index, save_index
 from repro.iomodel.diskmodel import DiskModel
-from repro.metrics import QueryMetrics
 from repro.obs.registry import MetricsRegistry, get_registry
 from repro.obs.trace import Trace, maybe_span
-
-if TYPE_CHECKING:  # plan layer imports this package: defer.
-    from repro.plan.physical import CompiledPlans
 
 MANIFEST_NAME = "MANIFEST.json"
 WAL_NAME = "wal.jsonl"
@@ -424,33 +418,17 @@ class IngestIndex(SegmentedGramIndex):
 
     # -- snapshots and queries --------------------------------------------
 
-    def snapshot(self) -> Tuple[List[Segment], List[int]]:
+    def snapshot(self) -> Tuple[List[Segment], Optional[List[int]]]:
         """(segments, memtable ids) under the lock; queries iterate the
         returned lists so a concurrent seal/compaction never mutates
-        what they are reading."""
+        what they are reading.
+
+        The memtable list is never None, even when empty, so
+        :meth:`candidates` never answers "scan everything": the
+        explicit live-id list of this snapshot is the full scan here.
+        """
         with self._lock:
             return list(self.segments), sorted(self.memtable)
-
-    def candidates(
-        self,
-        plans: "CompiledPlans",
-        disk: Optional[DiskModel] = None,
-        metrics: Optional[QueryMetrics] = None,
-    ) -> Optional[List[int]]:
-        """Sorted global candidate ids across sealed segments and the
-        memtable.
-
-        Never returns None ("scan everything"): global ids are sparse,
-        so the engine's dense full-scan enumeration would be wrong —
-        the explicit live-id list is the full scan here.
-        """
-        segments, memtable_ids = self.snapshot()
-        merged: List[int] = list(memtable_ids)
-        for segment in segments:
-            physical = plans.physical(segment.index, metrics)
-            merged.extend(segment.candidates(physical, disk, metrics))
-        merged.sort()
-        return merged
 
     @property
     def n_memtable(self) -> int:

@@ -16,7 +16,7 @@ guards interactive use against runaway memory.
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.corpus.store import CorpusStore
 from repro.errors import IndexBuildError

@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.corpus.document import DataUnit
 from repro.corpus.store import CorpusStore
 from repro.errors import IndexBuildError
-from repro.index.builder import MultigramIndexBuilder, build_postings
+from repro.index.builder import MultigramIndexBuilder
 from repro.index.multigram import GramIndex
 from repro.index.postings import PostingsList
 from repro.index.presuf import presuf_shell

@@ -24,7 +24,6 @@ tests).
 from __future__ import annotations
 
 from array import array
-from typing import Optional
 
 
 class PCYHashFilter:

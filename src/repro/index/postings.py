@@ -34,7 +34,6 @@ from typing import (
     TYPE_CHECKING,
     Dict,
     Iterable,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -729,19 +728,6 @@ def union_many(
             last = value
             if limit is not None and len(result) >= limit:
                 break
-    return result
-
-
-def difference_sorted(a: List[int], b: List[int]) -> List[int]:
-    """Ids in ``a`` but not ``b`` (used by index diagnostics)."""
-    result = []
-    j = 0
-    n = len(b)
-    for value in a:
-        while j < n and b[j] < value:
-            j += 1
-        if j >= n or b[j] != value:
-            result.append(value)
     return result
 
 

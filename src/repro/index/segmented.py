@@ -23,7 +23,7 @@ once per pattern and reuses the plan for the segment's lifetime.
 from __future__ import annotations
 
 from typing import (
-    TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set, Union,
+    TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set, Tuple, Union,
 )
 
 from repro.corpus.document import DataUnit
@@ -40,7 +40,7 @@ if TYPE_CHECKING:  # plan/engine layers import this package: defer.
 
 
 class Segment:
-    """One immutable index shard plus its tombstone set."""
+    """One immutable index part plus its tombstone set."""
 
     def __init__(self, global_ids: Sequence[int], index: GramIndex):
         if len(global_ids) != index.n_docs:
@@ -71,14 +71,19 @@ class Segment:
         physical: "PhysicalPlan",
         disk: Optional[DiskModel] = None,
         metrics: Optional[QueryMetrics] = None,
+        first_k: Optional[int] = None,
     ) -> List[int]:
         """Global candidate ids in this segment (tombstones excluded)
-        under ``physical``, a plan compiled for this segment's index."""
+        under ``physical``, a plan compiled for this segment's index;
+        ``first_k`` caps the local ids read (see
+        :meth:`SegmentedGramIndex.candidates`)."""
         from repro.engine.executor import execute_plan
 
         if physical.is_full_scan:
             return self.live_global_ids()
-        local = execute_plan(physical, self.index, disk, metrics)
+        local = execute_plan(
+            physical, self.index, disk, metrics, first_k=first_k
+        )
         if local is None:
             return self.live_global_ids()
         out = []
@@ -214,32 +219,51 @@ class SegmentedGramIndex:
     def n_deleted(self) -> int:
         return self.n_docs - self.n_live
 
-    @property
-    def has_deletions(self) -> bool:
-        return any(segment.deleted for segment in self.segments)
+    def snapshot(self) -> Tuple[List[Segment], Optional[List[int]]]:
+        """(segments, unindexed live ids) for one query to read.
+
+        Every document of a plain segmented index is in a segment, so
+        the second item is None; an index that also holds documents no
+        segment covers yet (the ingest memtable) lists them instead.
+        """
+        return self.segments, None
 
     def candidates(
         self,
         plans: "CompiledPlans",
         disk: Optional[DiskModel] = None,
         metrics: Optional[QueryMetrics] = None,
+        first_k: Optional[int] = None,
     ) -> Optional[List[int]]:
         """Sorted global candidate ids, or None for "scan everything".
 
-        Each segment runs the physical plan ``plans`` holds for its
-        index (compiled once per segment, then reused).  None is only
-        returned when every segment's plan degenerated to a full scan
-        *and* there are no tombstones — otherwise the explicit id list
-        (which excludes deleted docs) is required for correctness.
+        The one per-part query loop: each segment runs the physical
+        plan ``plans`` holds for its index (compiled once per segment,
+        then reused), maps local ids to global ids and drops its
+        tombstones; unindexed documents join wholesale.  None is only
+        returned when every segment's plan degenerated to a full scan,
+        no segment has tombstones and every document is in a segment —
+        otherwise the explicit id list is required for correctness.
+
+        ``first_k`` is the engine's ``min_candidate_ratio`` early-exit
+        cap.  Each segment reads at most ``first_k`` plus its tombstone
+        count local ids, so a truncated segment still yields at least
+        ``first_k`` live ids: the merged total reaches the cap exactly
+        when the exhaustive total would, and the caller's scan
+        fallback fires either way.
         """
-        all_null = True
-        merged: List[int] = []
-        for segment in self.segments:
+        segments, unindexed = self.snapshot()
+        merged: List[int] = list(unindexed or ())
+        scan_all = unindexed is None
+        for segment in segments:
             physical = plans.physical(segment.index, metrics)
-            if not physical.is_full_scan:
-                all_null = False
-            merged.extend(segment.candidates(physical, disk, metrics))
-        if all_null and not self.has_deletions:
+            if not physical.is_full_scan or segment.deleted:
+                scan_all = False
+            bound = (
+                None if first_k is None else first_k + len(segment.deleted)
+            )
+            merged.extend(segment.candidates(physical, disk, metrics, bound))
+        if scan_all:
             return None
         merged.sort()
         return merged
@@ -268,15 +292,17 @@ from repro.engine.free import FreeEngine  # noqa: E402  (import cycle:
 class SegmentedFreeEngine(FreeEngine):
     """FREE's runtime over a segmented index (supports add/delete).
 
-    A real :class:`~repro.engine.free.FreeEngine` subclass (like the
-    sharded engine): plan per segment, merge candidates in the
-    ``_candidates`` hook, and inherit the whole confirmation, caching,
-    metrics, batching, and lifecycle surface — including ``close``,
-    ``prewarm`` and context management, which the serve stack needs.
+    The one engine over a list of index parts — ingest directories,
+    in-memory segmented indexes and sharded (FREESHRD) images alike: a
+    :class:`~repro.engine.free.FreeEngine` subclass that plans per
+    segment, merges candidates in the ``_candidates`` hook, and
+    inherits the whole confirmation, caching, metrics, batching, and
+    lifecycle surface — including ``close`` and context management,
+    which the serve stack needs.
 
     Args:
         corpus: the live documents (segments address it by global id).
-        seg_index: the segmented index to execute against.
+        seg_index: the segmented (or sharded) index to execute against.
         owned: an optional closeable (e.g. an
             :class:`~repro.index.ingest.IngestDirectory`) whose
             lifetime this engine manages; closed by :meth:`close`.
@@ -331,9 +357,6 @@ class SegmentedFreeEngine(FreeEngine):
         metrics: Optional[QueryMetrics] = None,
         first_k: Optional[int] = None,
     ) -> Optional[List[int]]:
-        # ``first_k`` (the min_candidate_ratio cap) is accepted but not
-        # threaded into the segment merge: segmented candidates stay
-        # exhaustive, which is always sound.
         from repro.obs.trace import maybe_span
 
         trace = metrics.trace if metrics is not None else None
@@ -342,7 +365,9 @@ class SegmentedFreeEngine(FreeEngine):
         with maybe_span(
             trace, "postings", segments=len(self.seg_index.segments)
         ):
-            return self.seg_index.candidates(plans, self.disk, metrics)
+            return self.seg_index.candidates(
+                plans, self.disk, metrics, first_k=first_k
+            )
 
     def explain(
         self,

@@ -1,55 +1,41 @@
-"""Sharded multigram indexes: horizontal partitioning for parallel query
-execution.
+"""Sharded multigram indexes: the FREESHRD image's contiguous partition.
 
 FREE's candidate-set guarantee (Soundness, Section 4) holds *per data
 unit*: whether a unit belongs to the candidate set of a plan depends
 only on that unit's own grams.  Postings can therefore be partitioned
-across N independent shards and a plan executed shard-by-shard, with the
-global candidate set being the plain union of the per-shard sets — no
-cross-shard reconciliation is ever needed.  That property is what lets
-query latency scale with cores (the ROADMAP's "as fast as the hardware
-allows"): each shard's postings work and candidate confirmation can run
-on its own worker.
+across N independent shards, and a plan executed shard by shard, with
+the global candidate set being the plain union of the per-shard sets —
+no cross-shard reconciliation is ever needed.
 
-The partition is **contiguous**: shard ``i`` owns the doc-id range
-``ranges[i] = [start, stop)`` and the ranges tile ``[0, n_docs)`` in
-order.  Contiguity is load-bearing: per-shard candidate lists are
-already sorted in *global* doc-id order, so the union merge is a
-concatenation in shard order — deterministic, and it preserves the
-global ordering that first-k truncation accounting depends on (see
-:func:`repro.engine.executor.merge_shard_candidates`).
+A :class:`ShardedIndex` is therefore just an immutable
+:class:`~repro.index.segmented.SegmentedGramIndex` whose segments (the
+shards) tile ``[0, n_docs)`` in order: shard ``i`` owns the doc-id
+range ``doc_ranges()[i] = [start, stop)``.  It is queried by the one
+per-part loop (:meth:`SegmentedGramIndex.candidates`) and served by
+:class:`~repro.index.segmented.SegmentedFreeEngine` like any other
+segment list.  What this module adds is only what the FREESHRD image
+format, ``free build --shards`` and the ``free check`` SHD001-003
+rules need: contiguous construction and validation, ``doc_ranges``,
+``shard_stats``, and the shard list that save/load walk.
 
-Bookkeeping reuses :class:`~repro.index.segmented.Segment` — one
-self-contained :class:`~repro.index.multigram.GramIndex` per shard over
-local ids plus the local->global id mapping.  The difference from the
-segmented index is intent: segments exist for *incremental maintenance*
-(add/delete/merge, hence epochs and tombstones); shards exist for
-*parallel execution* and are immutable once built.
-
-Like the segmented engine, each shard compiles the logical plan against
-its **own** key directory: a gram useful (hence indexed) in one shard
-may be useless in another, so per-shard physical plans — and candidate
-counts — legitimately differ from the single-index plan.  Soundness
-holds shard-by-shard, therefore globally (property-tested by
+Each shard compiles the logical plan against its **own** key
+directory: a gram useful (hence indexed) in one shard may be useless in
+another, so per-shard physical plans — and candidate counts —
+legitimately differ from the single-index plan.  Soundness holds shard
+by shard, therefore globally (property-tested by
 ``tests/test_differential_soundness.py``).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.corpus.document import DataUnit
 from repro.corpus.store import CorpusStore, InMemoryCorpus
 from repro.errors import IndexBuildError
 from repro.index.builder import MultigramIndexBuilder
-from repro.index.multigram import GramIndex
 from repro.index.parallel import ParallelMultigramBuilder
-from repro.index.segmented import Segment
-from repro.iomodel.diskmodel import DiskModel
-from repro.metrics import QueryMetrics
-
-if TYPE_CHECKING:  # plan layer imports this package: defer.
-    from repro.plan.physical import CompiledPlans
+from repro.index.segmented import Segment, SegmentedGramIndex
 
 
 def shard_ranges(n_docs: int, n_shards: int) -> List[Tuple[int, int]]:
@@ -74,21 +60,23 @@ def shard_ranges(n_docs: int, n_shards: int) -> List[Tuple[int, int]]:
     return ranges
 
 
-class ShardedIndex:
-    """An immutable multigram index horizontally partitioned into shards.
+class ShardedIndex(SegmentedGramIndex):
+    """An immutable segmented index whose segments tile the corpus.
 
     Args:
         shards: one :class:`Segment` per shard, in shard order; their
             ``global_ids`` must be the contiguous ranges produced by
-            :func:`shard_ranges` (validated).
+            :func:`shard_ranges` (validated).  Nothing adds, merges
+            or tombstones a shard (a FREESHRD image is rewritten
+            whole), so ``epoch`` stays 0.
     """
 
     def __init__(self, shards: Sequence[Segment]):
+        super().__init__()
         if not shards:
             raise IndexBuildError("a sharded index needs >= 1 shard")
-        self.shards: List[Segment] = list(shards)
         expected_next = 0
-        for position, shard in enumerate(self.shards):
+        for position, shard in enumerate(shards):
             ids = shard.global_ids
             if ids != list(range(expected_next, expected_next + len(ids))):
                 raise IndexBuildError(
@@ -96,10 +84,7 @@ class ShardedIndex:
                     f"starting at {expected_next}"
                 )
             expected_next += len(ids)
-
-    #: Content version stamp: shards are immutable, so always 0 (the
-    #: engine's candidate-cache keys read this uniformly).
-    epoch: int = 0
+        self.segments = list(shards)
 
     # -- construction -------------------------------------------------------
 
@@ -154,12 +139,13 @@ class ShardedIndex:
     # -- shape --------------------------------------------------------------
 
     @property
-    def n_shards(self) -> int:
-        return len(self.shards)
+    def shards(self) -> List[Segment]:
+        """The segments, in shard (= global doc-id) order."""
+        return self.segments
 
     @property
-    def n_docs(self) -> int:
-        return sum(shard.n_docs for shard in self.shards)
+    def n_shards(self) -> int:
+        return len(self.segments)
 
     def doc_ranges(self) -> List[Tuple[int, int]]:
         """The ``[start, stop)`` range each shard owns, in shard order."""
@@ -169,12 +155,6 @@ class ShardedIndex:
             ranges.append((start, start + shard.n_docs))
             start += shard.n_docs
         return ranges
-
-    def total_keys(self) -> int:
-        return sum(len(shard.index) for shard in self.shards)
-
-    def total_postings(self) -> int:
-        return sum(shard.index.stats.n_postings for shard in self.shards)
 
     def shard_stats(self) -> List[Dict[str, object]]:
         """Per-shard shape summary (CLI reporting and the analyzer)."""
@@ -190,66 +170,6 @@ class ShardedIndex:
                 "corpus_chars": stats.corpus_chars,
             })
         return rows
-
-    # -- queries ------------------------------------------------------------
-
-    def shard_candidates(
-        self,
-        ordinal: int,
-        plans: "CompiledPlans",
-        metrics: Optional[QueryMetrics] = None,
-        first_k: Optional[int] = None,
-    ) -> Tuple[Optional[List[int]], QueryMetrics]:
-        """One shard's global candidate ids under the physical plan
-        ``plans`` holds for the shard's index (compiled on first use).
-
-        Returns ``(ids, shard_metrics)`` where ``ids`` is ``None`` when
-        the shard's physical plan collapsed to a full scan of the shard
-        (the caller substitutes the shard's id range).  ``shard_metrics``
-        records this shard's postings lookups so the caller can apply
-        disk charges and fold per-shard counters deterministically —
-        the shard computation itself touches no shared state, which is
-        what makes it safe to fan out to a worker.
-
-        ``first_k`` is the per-shard early-exit cap (see
-        :func:`~repro.engine.executor.execute_plan`): with contiguous
-        shard ranges, capping every shard at ``first_k`` still leaves
-        any over-the-cap total detectable by the caller, because a
-        truncated shard alone contributes ``first_k`` ids.
-        """
-        from repro.engine.executor import execute_plan
-
-        shard = self.shards[ordinal]
-        shard_metrics = metrics if metrics is not None else QueryMetrics()
-        physical = plans.physical(shard.index)
-        if physical.is_full_scan:
-            return None, shard_metrics
-        local = execute_plan(
-            physical, shard.index, None, shard_metrics, first_k=first_k
-        )
-        if local is None:
-            return None, shard_metrics
-        base = shard.global_ids[0] if shard.global_ids else 0
-        return [base + local_id for local_id in local], shard_metrics
-
-    def candidates(
-        self,
-        plans: "CompiledPlans",
-        disk: Optional[DiskModel] = None,
-        metrics: Optional[QueryMetrics] = None,
-    ) -> Optional[List[int]]:
-        """Sorted global candidate ids, or ``None`` for "scan everything".
-
-        The sequential reference path: shards are executed in shard
-        order and merged with the deterministic union merge.  The
-        parallel fan-out (:mod:`repro.engine.sharded`) must produce an
-        identical list — property-tested.
-        """
-        from repro.engine.executor import execute_plan_sharded
-
-        return execute_plan_sharded(
-            plans, self, pool=None, disk=disk, metrics=metrics
-        )
 
     def __repr__(self) -> str:
         return (

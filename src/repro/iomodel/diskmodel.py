@@ -85,25 +85,6 @@ class DiskModel:
         if self._metrics is not None:
             self._metrics.postings_charged += n_postings
 
-    def absorb(self, other: "DiskModel") -> None:
-        """Fold another model's accumulated charges into this one.
-
-        Sharded parallel execution gives every worker a private model
-        (shared mutable counters would race); the parent absorbs them
-        in shard order, so the merged accounting is deterministic.
-        Mirrored into the attached metrics like any direct charge.
-        """
-        self.sequential_chars += other.sequential_chars
-        self.random_chars += other.random_chars
-        self.random_accesses += other.random_accesses
-        self.postings_read += other.postings_read
-        self.write_chars += other.write_chars
-        if self._metrics is not None:
-            self._metrics.sequential_chars += other.sequential_chars
-            self._metrics.random_chars += other.random_chars
-            self._metrics.random_accesses += other.random_accesses
-            self._metrics.postings_charged += other.postings_read
-
     @property
     def total_cost(self) -> float:
         """Total simulated cost in char-read units."""

@@ -242,25 +242,6 @@ class QueryMetrics:
         self.union_input += input_size
         self.union_output += output_size
 
-    def absorb(self, other: "QueryMetrics") -> None:
-        """Fold another metrics object's postings-side counters into
-        this one (sharded execution: per-shard metrics are recorded in
-        isolation, then absorbed in shard order so the merged record is
-        deterministic regardless of worker completion order)."""
-        self.lookups.extend(other.lookups)
-        self.postings_entries_decoded += other.postings_entries_decoded
-        self.postings_bytes_decoded += other.postings_bytes_decoded
-        self.postings_cache_hits += other.postings_cache_hits
-        self.postings_cache_misses += other.postings_cache_misses
-        self.postings_blocks_decoded += other.postings_blocks_decoded
-        self.postings_blocks_skipped += other.postings_blocks_skipped
-        self.intersect_input += other.intersect_input
-        self.intersect_output += other.intersect_output
-        self.union_input += other.union_input
-        self.union_output += other.union_output
-        if self.kernel_backend is None:
-            self.kernel_backend = other.kernel_backend
-
     # -- reporting ---------------------------------------------------------
 
     def lookup_sizes(self) -> Dict[str, Tuple[int, bool]]:

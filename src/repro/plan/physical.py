@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import enum
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Tuple, Union
 
 from repro.errors import PlanError

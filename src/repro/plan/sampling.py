@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import List, Optional, Tuple, Union
+from typing import List, Tuple, Union
 
 from repro.corpus.store import CorpusStore
 from repro.regex.matcher import Matcher

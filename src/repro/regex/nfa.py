@@ -12,7 +12,7 @@ States are dense integers so downstream passes can use lists as maps.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import FrozenSet, List, Set, Tuple
 
 from repro.regex import ast
 from repro.regex.charclass import CharClass

@@ -61,8 +61,8 @@ sharing the *one* loaded index image (read-only, safe to share).
 
 **Shutdown.**  ``stop()`` stops accepting connections, answers new
 queries ``503``, drains every admitted job, then closes each worker
-engine (a :class:`~repro.engine.sharded.ShardedFreeEngine` shuts its
-pool down and releases its fork token) and the query log.
+engine (a segmented engine over an ingest directory closes the
+directory) and the query log.
 
 **Query log.**  Every query endpoint appends one JSON line — pattern,
 status, latency, result sizes — to an optional JSONL log.  This is the
@@ -89,7 +89,6 @@ from typing import (
     List,
     Optional,
     TextIO,
-    Union,
 )
 
 from repro.corpus.document import DataUnit
@@ -142,8 +141,6 @@ class ServeConfig:
     #: the candidate cache exists for (see FreeEngine docs).
     candidate_cache_size: int = 256
     matcher_cache_size: int = 256
-    #: Per-shard fan-out inside each worker engine (sharded images).
-    shard_workers: int = 1
     #: Fraction of traces kept probabilistically (deterministic in the
     #: trace id; see repro.obs.ids.should_sample).
     trace_sample_rate: float = 0.01
@@ -344,29 +341,25 @@ def build_slots(
 ) -> List[_EngineSlot]:
     """One warm engine per worker, all over the same loaded index.
 
-    Engines are prewarmed so fork-based shard pools exist before the
-    serve stack starts any thread (CONC003), and a failure while
-    building slot N closes every resource slots 0..N-1 already own
-    (RES001) instead of leaking corpus handles and pools.
+    A failure while building slot N closes every resource slots
+    0..N-1 already own (RES001) instead of leaking corpus handles.
     """
     slots: List[_EngineSlot] = []
     try:
         for _ordinal in range(config.workers):
             corpus = DeadlineCorpus(corpus_opener())
             try:
-                engine = wrap_index(
+                slots.append(_EngineSlot(corpus, wrap_index(
                     corpus,
                     index,
-                    workers=config.shard_workers,
                     registry=registry,
                     plan_cache_size=config.plan_cache_size,
                     candidate_cache_size=config.candidate_cache_size,
                     matcher_cache_size=config.matcher_cache_size,
-                ).prewarm()
+                )))
             except Exception:
                 corpus.close()
                 raise
-            slots.append(_EngineSlot(corpus, engine))
     except Exception:
         for slot in slots:
             slot.close()

@@ -1,4 +1,4 @@
-"""CONC003 fixed: prewarm the fork pool, then start threads."""
+"""CONC003 fixed: create the fork pool first, then start threads."""
 
 import threading
 from concurrent.futures import ProcessPoolExecutor

@@ -1,19 +1,31 @@
-"""RES003: reconstruction of the pre-analyzer ``_FORK_SHARED`` leak.
+"""RES003: a module registry pinning open segmented engines.
 
-The fork-pool host registered a *strong* ``self`` reference in a
-module registry (pinning every engine alive forever) and registered
-its ``weakref.finalize`` only after the fork pool existed — a crash
-in between leaked the registration window."""
+The host registers a *strong* ``self`` reference in a module registry
+of live engines (pinning every host — and the ingest directory its
+engine owns — alive forever) and registers its ``weakref.finalize``
+only after a background thread already shares it — a crash in between
+leaks the registration window."""
 
+import threading
 import weakref
-from concurrent.futures import ProcessPoolExecutor
 
-_FORK_SHARED = {}
+from repro.index.segmented import SegmentedFreeEngine
+
+_LIVE_ENGINES = {}
 
 
-class PoolHost:
-    def ensure_pool(self, token):
-        _FORK_SHARED[token] = self
-        pool = ProcessPoolExecutor(max_workers=2)
-        weakref.finalize(self, _FORK_SHARED.pop, token, None)
-        return pool
+class EngineHost:
+    def __init__(self, corpus, seg_index, directory):
+        self.engine = SegmentedFreeEngine(
+            corpus, seg_index, owned=directory
+        )
+
+    def publish(self, token, run):
+        _LIVE_ENGINES[token] = self
+        refresh_thread = threading.Thread(target=run, daemon=True)
+        refresh_thread.start()
+        weakref.finalize(self, _LIVE_ENGINES.pop, token, None)
+        return refresh_thread
+
+    def close(self):
+        self.engine.close()

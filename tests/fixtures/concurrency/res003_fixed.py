@@ -1,13 +1,25 @@
 """RES003 fixed: weak registry entry, finalize before sharing."""
 
+import threading
 import weakref
-from concurrent.futures import ProcessPoolExecutor
 
-_FORK_SHARED = {}
+from repro.index.segmented import SegmentedFreeEngine
+
+_LIVE_ENGINES = {}
 
 
-class PoolHost:
-    def ensure_pool(self, token):
-        _FORK_SHARED[token] = weakref.ref(self)
-        weakref.finalize(self, _FORK_SHARED.pop, token, None)
-        return ProcessPoolExecutor(max_workers=2)
+class EngineHost:
+    def __init__(self, corpus, seg_index, directory):
+        self.engine = SegmentedFreeEngine(
+            corpus, seg_index, owned=directory
+        )
+
+    def publish(self, token, run):
+        _LIVE_ENGINES[token] = weakref.ref(self)
+        weakref.finalize(self, _LIVE_ENGINES.pop, token, None)
+        refresh_thread = threading.Thread(target=run, daemon=True)
+        refresh_thread.start()
+        return refresh_thread
+
+    def close(self):
+        self.engine.close()

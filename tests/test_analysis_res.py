@@ -1,6 +1,6 @@
 """RES rule tests: resource-lifecycle rules over the ownership
 lattice, including the two reconstructed pre-analyzer bug shapes
-(the unmanaged CLI engine and the ``_FORK_SHARED`` strong-ref leak)."""
+(the unmanaged CLI engine and the engine-registry strong-ref leak)."""
 
 import os
 import re
@@ -226,7 +226,7 @@ class TestEngineContract:
 
     def test_factory_vocabulary_covers_the_serve_stack(self):
         assert {
-            "FreeEngine", "ShardedFreeEngine", "DiskCorpus",
+            "FreeEngine", "SegmentedFreeEngine", "DiskCorpus",
             "ProcessPoolExecutor", "open",
         } <= KNOWN_FACTORIES
 

@@ -378,54 +378,6 @@ class TestCheck:
         assert "check: FAILED" in out
 
 
-class TestCpusText:
-    """record['cpu_count'] may be None: os.cpu_count() can fail."""
-
-    def test_known_count(self):
-        from repro.cli import _cpus_text
-
-        assert _cpus_text(8) == "8 cpus"
-
-    def test_none_count(self):
-        from repro.cli import _cpus_text
-
-        assert _cpus_text(None) == "unknown cpus"
-
-    def test_none_cpu_count_survives_the_bench_record(self):
-        import json
-
-        # The sharded bench record must serialize a None cpu_count
-        # (JSON null), not crash or coerce it.
-        record = {"cpu_count": None}
-        assert json.loads(json.dumps(record))["cpu_count"] is None
-
-    def test_bench_sharded_renders_none_cpu_count(
-        self, monkeypatch, capsys, tmp_path
-    ):
-        from repro import cli
-
-        record = {
-            "speedup": {"p50": 1.5},
-            "io_speedup": {"p50": 2.0},
-            "baseline_latency_seconds": {"p50": 0.01},
-            "sharded_latency_seconds": {"p50": 0.005},
-            "cpu_count": None,
-        }
-        monkeypatch.setattr(
-            cli, "default_workload", lambda n_pages=None: None
-        )
-        monkeypatch.setattr(
-            cli.runner_mod, "write_bench_sharded",
-            lambda *args, **kwargs: record,
-        )
-        out = str(tmp_path / "b.json")
-        assert main(["bench", "--experiment", "sharded",
-                     "--out", out]) == 0
-        text = capsys.readouterr().out
-        assert "unknown cpus" in text
-        assert "None" not in text
-
-
 class TestIngestCli:
     DOCS = [
         "the cat sat on the mat",

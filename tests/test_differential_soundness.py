@@ -1,12 +1,14 @@
 """Differential soundness: sharded execution is indistinguishable.
 
-The sharded query path (``repro.index.sharded`` + ``repro.engine.sharded``)
-must be a pure execution detail — for arbitrary regexes and corpora:
+A sharded image is one more segment list: :class:`ShardedIndex` answers
+through the one per-part loop and :class:`SegmentedFreeEngine` serves
+it.  That must be a pure execution detail — for arbitrary regexes and
+corpora:
 
 1. every shard-merged candidate set is a superset of the true matching
    units (the soundness invariant, shard-by-shard);
 2. final search results are exactly equal across the unsharded
-   :class:`FreeEngine`, :class:`ShardedFreeEngine` at N = 1, 2 and 7
+   :class:`FreeEngine`, the segmented engine over N = 1, 2 and 7
    shards, cached and uncached, and the brute-force :class:`ScanEngine`;
 3. the canonical byte serialization of a sharded result is identical to
    the single-shard one — not merely set-equal: ordering, counts and
@@ -25,8 +27,8 @@ from hypothesis import given, settings, strategies as st
 from repro.corpus.store import InMemoryCorpus
 from repro.engine.free import FreeEngine
 from repro.engine.scan import ScanEngine
-from repro.engine.sharded import ShardedFreeEngine
 from repro.index.builder import build_multigram_index
+from repro.index.segmented import SegmentedFreeEngine
 from repro.index.sharded import ShardedIndex
 from repro.plan.logical import LogicalPlan
 from repro.plan.physical import CompiledPlans
@@ -132,7 +134,7 @@ def test_sharded_equals_unsharded_and_scan(node, corpus):
         sharded = ShardedIndex.build(
             corpus, n_shards, threshold=0.3, max_gram_len=4
         )
-        engine = ShardedFreeEngine(corpus, sharded)
+        engine = SegmentedFreeEngine(corpus, sharded)
         got = result_fingerprint(engine.search(pattern))
         assert got == reference, (
             f"n_shards={n_shards}: {got} != {reference}"
@@ -149,7 +151,9 @@ def test_sharded_byte_identical_to_single_shard(node, corpus):
         sharded = ShardedIndex.build(
             corpus, n_shards, threshold=0.3, max_gram_len=4
         )
-        reports[n_shards] = ShardedFreeEngine(corpus, sharded).search(pattern)
+        reports[n_shards] = SegmentedFreeEngine(corpus, sharded).search(
+            pattern
+        )
     baseline = result_bytes(reports[1])
     for n_shards in SHARD_COUNTS[1:]:
         assert result_bytes(reports[n_shards]) == baseline
@@ -163,8 +167,8 @@ def test_cached_equals_uncached(node, corpus, n_shards):
     sharded = ShardedIndex.build(
         corpus, n_shards, threshold=0.3, max_gram_len=4
     )
-    uncached = ShardedFreeEngine(corpus, sharded, candidate_cache_size=0)
-    cached = ShardedFreeEngine(corpus, sharded, candidate_cache_size=32)
+    uncached = SegmentedFreeEngine(corpus, sharded, candidate_cache_size=0)
+    cached = SegmentedFreeEngine(corpus, sharded, candidate_cache_size=32)
     reference = result_fingerprint(uncached.search(pattern))
     first = cached.search(pattern)
     second = cached.search(pattern)  # served from the candidate cache
@@ -193,44 +197,11 @@ def small_corpus():
     return InMemoryCorpus.from_texts(texts)
 
 
-def test_parallel_process_pool_byte_identical(small_corpus):
-    """The fork-pool parallel path reproduces sequential bytes exactly."""
-    corpus = small_corpus
-    index = build_multigram_index(corpus, threshold=0.3, max_gram_len=4)
-    reference_engine = FreeEngine(corpus, index)
-    sharded = ShardedIndex.build(corpus, 3, threshold=0.3, max_gram_len=4)
-    sequential = ShardedFreeEngine(corpus, sharded, workers=1)
-    with ShardedFreeEngine(
-        corpus, sharded, workers=2, pool="process"
-    ) as parallel:
-        for pattern in PATTERNS:
-            r_ref = reference_engine.search(pattern)
-            r_seq = sequential.search(pattern)
-            r_par = parallel.search(pattern)
-            assert result_bytes(r_seq) == result_bytes(r_par)
-            assert result_fingerprint(r_par) == result_fingerprint(r_ref)
-            assert r_par.n_units_read == r_seq.n_units_read
-            assert r_par.used_full_scan == r_seq.used_full_scan
-
-
-def test_parallel_thread_pool_candidates_identical(small_corpus):
-    """The thread fan-out (postings only) merges the same candidates."""
-    corpus = small_corpus
-    sharded = ShardedIndex.build(corpus, 4, threshold=0.3, max_gram_len=4)
-    sequential = ShardedFreeEngine(corpus, sharded, workers=1)
-    with ShardedFreeEngine(
-        corpus, sharded, workers=3, pool="thread"
-    ) as threaded:
-        for pattern in PATTERNS:
-            assert result_bytes(threaded.search(pattern)) == \
-                result_bytes(sequential.search(pattern))
-
-
 def test_batch_search_matches_individual_searches(small_corpus):
     """search_batch shares candidates but answers like N plain searches."""
     corpus = small_corpus
     sharded = ShardedIndex.build(corpus, 2, threshold=0.3, max_gram_len=4)
-    engine = ShardedFreeEngine(corpus, sharded)
+    engine = SegmentedFreeEngine(corpus, sharded)
     individual = [
         result_fingerprint(engine.search(p)) for p in PATTERNS + PATTERNS
     ]

@@ -12,7 +12,7 @@ import pytest
 
 from repro.bench.queries import BENCHMARK_QUERIES
 from repro.corpus.synthesis import build_corpus
-from repro.engine.executor import execute_plan, execute_plan_sharded
+from repro.engine.executor import execute_plan
 from repro.engine.free import FreeEngine
 from repro.index.builder import build_multigram_index
 from repro.index.serialize import (
@@ -83,8 +83,8 @@ def test_sharded_candidates_byte_identical(sharded_images, name):
     v1, v2 = sharded_images
     plans = CompiledPlans(LogicalPlan.from_pattern(BENCHMARK_QUERIES[name]))
     m1, m2 = QueryMetrics(), QueryMetrics()
-    c1 = execute_plan_sharded(plans, v1, metrics=m1)
-    c2 = execute_plan_sharded(plans, v2, metrics=m2)
+    c1 = v1.candidates(plans, metrics=m1)
+    c2 = v2.candidates(plans, metrics=m2)
     assert c1 == c2
     assert _lookup_counts(m1) == _lookup_counts(m2)
 

@@ -1,31 +1,23 @@
-"""Engine lifecycle regressions: fork-registry leaks, close semantics,
-and epoch-keyed plan caching under long-lived engines.
+"""Engine lifecycle regressions: close semantics and epoch-keyed plan
+caching under long-lived engines.
 
 The ``free serve`` service holds engines for the life of the process,
-which turned two latent bugs into real ones:
-
-* a :class:`ShardedFreeEngine` whose ``close()`` was never reached left
-  its ``_FORK_SHARED`` registry entry behind forever (the registry held
-  a strong reference, so the engine could not even be collected);
-* the plan cache was keyed without the index epoch, so an engine kept
-  warm across a mutable index's epoch bump could execute a stale
-  physical plan — and silently drop candidates whose grams the
-  mutation removed.  Physical plans are now kept against the index
-  object *and* the epoch they were compiled for.
+which turned a latent bug into a real one: the plan cache was keyed
+without the index epoch, so an engine kept warm across a mutable
+index's epoch bump could execute a stale physical plan — and silently
+drop candidates whose grams the mutation removed.  Physical plans are
+now kept against the index object *and* the epoch they were compiled
+for.
 """
 
 from __future__ import annotations
-
-import gc
 
 import pytest
 
 from repro.corpus.document import DataUnit
 from repro.corpus.store import InMemoryCorpus
 from repro.engine.free import FreeEngine
-from repro.engine.sharded import _FORK_SHARED, ShardedFreeEngine
 from repro.index.builder import build_multigram_index
-from repro.index.sharded import ShardedIndex
 
 
 @pytest.fixture(scope="module")
@@ -34,92 +26,6 @@ def small_corpus():
         DataUnit(i, f"unit {i} powerpc stanford filler text block")
         for i in range(24)
     ])
-
-
-@pytest.fixture(scope="module")
-def small_sharded(small_corpus):
-    return ShardedIndex.build(small_corpus, 2, threshold=0.3)
-
-
-class TestForkRegistryLifecycle:
-    def test_close_pops_the_fork_token(
-        self, small_corpus, small_sharded
-    ):
-        engine = ShardedFreeEngine(
-            small_corpus, small_sharded, workers=2
-        )
-        engine._ensure_pool()
-        token = engine._fork_token
-        assert token is not None and token in _FORK_SHARED
-        engine.close()
-        assert token not in _FORK_SHARED
-        assert engine._fork_token is None
-
-    def test_close_is_idempotent(self, small_corpus, small_sharded):
-        engine = ShardedFreeEngine(
-            small_corpus, small_sharded, workers=2
-        )
-        engine._ensure_pool()
-        engine.close()
-        engine.close()  # second close: no error, still unregistered
-        assert engine._fork_token is None
-
-    def test_context_manager_pops_the_token(
-        self, small_corpus, small_sharded
-    ):
-        with ShardedFreeEngine(
-            small_corpus, small_sharded, workers=2
-        ) as engine:
-            engine._ensure_pool()
-            token = engine._fork_token
-            assert token in _FORK_SHARED
-        assert token not in _FORK_SHARED
-
-    def test_abandoned_engines_leave_a_bounded_registry(
-        self, small_corpus, small_sharded
-    ):
-        """Construct-and-drop in a loop WITHOUT close(): no leak.
-
-        This is the serve/bench failure mode — an exception (or a
-        careless caller) skips close().  The weakref registry plus the
-        GC finalizer must still retire every token.
-        """
-        before = len(_FORK_SHARED)
-        tokens = []
-        for _ in range(10):
-            engine = ShardedFreeEngine(
-                small_corpus, small_sharded, workers=2
-            )
-            engine._ensure_pool()  # registers the fork token
-            tokens.append(engine._fork_token)
-            del engine  # dropped with no close()
-        gc.collect()
-        assert len(_FORK_SHARED) == before
-        assert all(token not in _FORK_SHARED for token in tokens)
-
-    def test_registry_reference_does_not_pin_the_engine(
-        self, small_corpus, small_sharded
-    ):
-        import weakref
-
-        engine = ShardedFreeEngine(
-            small_corpus, small_sharded, workers=2
-        )
-        engine._ensure_pool()
-        probe = weakref.ref(engine)
-        del engine
-        gc.collect()
-        # A strong registry entry would keep this alive forever.
-        assert probe() is None
-
-    def test_parallel_search_still_works_through_weak_registry(
-        self, small_corpus, small_sharded
-    ):
-        with ShardedFreeEngine(
-            small_corpus, small_sharded, workers=2
-        ) as engine:
-            report = engine.search("powerpc", collect_matches=False)
-            assert report.n_matches == len(small_corpus)
 
 
 class TestFreeEngineClose:

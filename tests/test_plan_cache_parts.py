@@ -18,7 +18,6 @@ import pytest
 
 from repro.corpus.store import InMemoryCorpus
 from repro.engine.free import FreeEngine
-from repro.engine.sharded import ShardedFreeEngine
 from repro.index.builder import MultigramIndexBuilder
 from repro.index.ingest import IngestDirectory
 from repro.index.segmented import SegmentedFreeEngine, SegmentedGramIndex
@@ -152,7 +151,7 @@ class TestCompilesPerPart:
     def test_sharded_compiles_once_per_shard(self, compiles):
         corpus = InMemoryCorpus.from_texts(TEXTS)
         sharded = ShardedIndex.build(corpus, 3, threshold=0.3)
-        with ShardedFreeEngine(
+        with SegmentedFreeEngine(
             corpus, sharded, registry=MetricsRegistry()
         ) as engine:
             for _ in range(4):
@@ -174,36 +173,6 @@ class TestCompilesPerPart:
             stats = engine.cache_stats()["plan"]
         assert stats["misses"] == 1
         assert stats["hits"] == len(TEXTS) - 1
-
-
-    def test_thread_fanout_fills_every_shard_plan(self):
-        """The thread pool plans shards concurrently into one entry; a
-        lost update would leave a shard unplanned (and replanned on
-        every later query)."""
-        import sys
-
-        corpus = InMemoryCorpus.from_texts(TEXTS * 4)
-        sharded = ShardedIndex.build(corpus, 8, threshold=0.3)
-        patterns = PATTERNS + ["the", "again", "c[a-z]t", "words|song"]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ShardedFreeEngine(
-                corpus, sharded, workers=4, pool="thread",
-                registry=MetricsRegistry(),
-            ) as threaded, ShardedFreeEngine(
-                corpus, sharded, registry=MetricsRegistry()
-            ) as sequential:
-                for _ in range(3):
-                    for pattern in patterns:
-                        got = threaded.search(pattern)
-                        want = sequential.search(pattern)
-                        assert got.matches == want.matches
-                for pattern in patterns:
-                    plans = threaded._compiled_plans(pattern)
-                    assert len(plans._physical) == sharded.n_shards
-        finally:
-            sys.setswitchinterval(interval)
 
 
 class TestExplainShowsCachedPlans:
@@ -235,14 +204,14 @@ class TestExplainShowsCachedPlans:
     def test_sharded_explain_reuses_query_plans(self, compiles):
         corpus = InMemoryCorpus.from_texts(TEXTS)
         sharded = ShardedIndex.build(corpus, 2, threshold=0.3)
-        with ShardedFreeEngine(
+        with SegmentedFreeEngine(
             corpus, sharded, registry=MetricsRegistry()
         ) as engine:
             engine.search("clinton")
             assert len(compiles) == 2
             text = engine.explain("clinton")
             assert len(compiles) == 2
-            assert "shard 0" in text and "shard 1" in text
+            assert "segment 0" in text and "segment 1" in text
 
 
 class TestNoPinning:

@@ -11,7 +11,6 @@ from repro.index.postings import (
     PostingsList,
     cursor_for,
     decode_gaps,
-    difference_sorted,
     encode_blocks,
     encode_gaps,
     encode_varint,
@@ -179,10 +178,6 @@ class TestMerges:
         assert union_many([]) == []
         assert union_many([[], []]) == []
 
-    def test_difference(self):
-        assert difference_sorted([1, 2, 3, 4], [2, 4]) == [1, 3]
-        assert difference_sorted([1, 2], []) == [1, 2]
-
     @settings(max_examples=200, deadline=None)
     @given(
         a=st.lists(st.integers(0, 200), unique=True),
@@ -246,7 +241,6 @@ class TestMerges:
         assert intersect_sorted(a, b) == [2**63 - 1, 2**64 + 10]
         assert intersect_many([a, b]) == [2**63 - 1, 2**64 + 10]
         assert union_many([a, b]) == sorted(set(a) | set(b))
-        assert difference_sorted(a, b) == [1, 2**64]
         cursors = [
             BlockCursor(BlockedPostingsList.from_ids(a, block_size=2)),
             ListCursor(b),

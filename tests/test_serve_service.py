@@ -23,7 +23,6 @@ from repro.corpus.document import DataUnit
 from repro.corpus.store import CorpusStore, InMemoryCorpus
 from repro.engine.factory import wrap_index
 from repro.index.builder import build_multigram_index
-from repro.index.sharded import ShardedIndex
 from repro.obs.registry import MetricsRegistry, parse_prometheus_text
 from repro.serve.service import (
     QueryService,
@@ -579,22 +578,6 @@ class _ExplodingSlot:
 
 
 class TestLifecycle:
-    def test_build_slots_prewarms_shard_pools(self):
-        # CONC003 remediation: the fork-based shard pool must exist
-        # before the serve stack starts any thread, not lazily on the
-        # first query.
-        corpus = _tiny_corpus(24)
-        index = ShardedIndex.build(corpus, 2, threshold=0.3)
-        config = ServeConfig(port=0, workers=1, shard_workers=2)
-        slots = build_slots(
-            lambda: corpus, index, config, MetricsRegistry()
-        )
-        try:
-            assert slots[0].engine._pool is not None
-        finally:
-            for slot in slots:
-                slot.close()
-
     def test_slots_from_ingest_directory(self, tmp_path):
         # An ingest directory path in place of an index image: the
         # directory is opened read-only once and every worker slot

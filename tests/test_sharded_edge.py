@@ -2,11 +2,11 @@
 
 Every degenerate partition the sharder can produce — empty shards,
 one-doc shards, everything in one shard, more shards than documents —
-must build, pass ``free check``, serialize, and answer queries exactly
-like the unsharded engine.  The second half pins the merge-order
-contract: candidates are unioned in *global doc-id order* (shard
-ordinal, not completion order), which is what makes first-k truncation
-read the same unit prefix sharded as unsharded.
+must build, pass ``free check``, serialize, and answer queries through
+the one segmented engine exactly like the unsharded engine.  The second
+half pins the merge-order contract: candidates are unioned in *global
+doc-id order*, which is what makes first-k truncation read the same
+unit prefix sharded as unsharded.
 """
 
 from __future__ import annotations
@@ -15,10 +15,10 @@ import pytest
 
 from repro.analysis import run_check
 from repro.corpus.store import InMemoryCorpus
-from repro.engine.executor import merge_shard_candidates
+from repro.engine.factory import open_engine
 from repro.engine.free import FreeEngine
-from repro.engine.sharded import ShardedFreeEngine
 from repro.index.builder import build_multigram_index
+from repro.index.segmented import SegmentedFreeEngine
 from repro.index.serialize import load_any_index, save_sharded_index
 from repro.index.sharded import ShardedIndex
 
@@ -90,7 +90,7 @@ class TestEdgeShapes:
 
     def test_answers_identically(self, corpus, reference, label, n_shards):
         sharded = self.build(corpus, n_shards)
-        engine = ShardedFreeEngine(corpus, sharded)
+        engine = SegmentedFreeEngine(corpus, sharded)
         for pattern in PATTERNS:
             assert fingerprint(engine.search(pattern)) == \
                 fingerprint(reference.search(pattern)), pattern
@@ -101,47 +101,26 @@ class TestEdgeShapes:
         sharded = self.build(corpus, n_shards)
         path = str(tmp_path / "edge.fsi")
         save_sharded_index(sharded, path)
-        loaded = load_any_index(path)
-        assert isinstance(loaded, ShardedIndex)
-        engine = ShardedFreeEngine(corpus, loaded)
-        for pattern in PATTERNS:
-            assert fingerprint(engine.search(pattern)) == \
-                fingerprint(reference.search(pattern)), pattern
+        assert isinstance(load_any_index(path), ShardedIndex)
+        with open_engine(corpus, path) as engine:
+            for pattern in PATTERNS:
+                assert fingerprint(engine.search(pattern)) == \
+                    fingerprint(reference.search(pattern)), pattern
 
 
 class TestMergeOrderRegression:
     """The union merge must preserve global doc-id order.
 
-    Regression for the bug class the ISSUE calls out: collecting shard
-    results by *completion order* would interleave doc ids and make a
-    first-k query read a different unit prefix than the unsharded
-    engine.
+    Regression for the bug class where collecting shard results out of
+    shard order interleaves doc ids and makes a first-k query read a
+    different unit prefix than the unsharded engine.
     """
-
-    def test_ordinal_concatenation_is_sorted(self):
-        assert merge_shard_candidates([[0, 2], [4, 5], [8]]) == \
-            [0, 2, 4, 5, 8]
-
-    def test_empty_parts_are_skipped(self):
-        assert merge_shard_candidates([[], [3, 4], [], [7]]) == [3, 4, 7]
-        assert merge_shard_candidates([[], [], []]) == []
-
-    def test_out_of_order_parts_still_merge_sorted(self):
-        # The safety net: a completion-order (or otherwise non-ordinal)
-        # collection is detected at the shard boundary and heap-merged,
-        # so the output is *still* globally sorted.
-        assert merge_shard_candidates([[4, 5], [0, 2], [8]]) == \
-            [0, 2, 4, 5, 8]
-
-    def test_overlapping_parts_deduplicate(self):
-        assert merge_shard_candidates([[0, 2, 5], [2, 5, 9]]) == \
-            [0, 2, 5, 9]
 
     def test_sharded_candidates_are_globally_sorted(self, corpus):
         sharded = ShardedIndex.build(
             corpus, 4, threshold=0.4, max_gram_len=4
         )
-        engine = ShardedFreeEngine(corpus, sharded)
+        engine = SegmentedFreeEngine(corpus, sharded)
         for pattern in PATTERNS:
             candidates = engine._candidates(pattern)
             if candidates is None:
@@ -156,7 +135,7 @@ class TestMergeOrderRegression:
         sharded = ShardedIndex.build(
             corpus, n_shards, threshold=0.4, max_gram_len=4
         )
-        engine = ShardedFreeEngine(corpus, sharded)
+        engine = SegmentedFreeEngine(corpus, sharded)
         pattern = "qu"  # many matches spread across every shard
         full = reference.search(pattern)
         assert full.n_matches_found > 3
@@ -169,17 +148,3 @@ class TestMergeOrderRegression:
             # the global-order prefix, not some shard's local prefix.
             assert [m.doc_id for m in r_shd.matches] == \
                 [m.doc_id for m in full.matches][:k]
-
-    def test_first_k_parallel_path_falls_back_to_sequential(self, corpus):
-        """limit queries must take the central path even with workers."""
-        sharded = ShardedIndex.build(
-            corpus, 3, threshold=0.4, max_gram_len=4
-        )
-        with ShardedFreeEngine(
-            corpus, sharded, workers=2, pool="process"
-        ) as engine:
-            r_limited = engine.search("qu", limit=2)
-            r_full = engine.search("qu")
-        assert r_limited.truncated
-        assert [m.doc_id for m in r_limited.matches] == \
-            [m.doc_id for m in r_full.matches][:2]

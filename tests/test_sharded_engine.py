@@ -1,17 +1,16 @@
-"""ShardedFreeEngine unit tests: construction, pool lifecycle,
-introspection, tracing, per-shard observability, and path gating."""
+"""Sharded images through the one segmented engine: construction,
+close semantics, introspection, tracing and observability."""
 
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.corpus.store import InMemoryCorpus
+from repro.engine.factory import wrap_index
 from repro.engine.free import FreeEngine
-from repro.engine.sharded import ShardedFreeEngine
-from repro.errors import FreeError
+from repro.errors import FreeError, IndexBuildError
 from repro.index.builder import build_multigram_index
+from repro.index.segmented import SegmentedFreeEngine
 from repro.index.sharded import ShardedIndex
 from repro.obs.registry import MetricsRegistry
 
@@ -44,146 +43,87 @@ def matches_of(report):
 class TestConstruction:
     def test_rejects_plain_gram_index(self, corpus):
         index = build_multigram_index(corpus, threshold=0.4, max_gram_len=4)
-        with pytest.raises(FreeError, match="ShardedIndex"):
-            ShardedFreeEngine(corpus, index)
+        with pytest.raises(IndexBuildError, match="SegmentedGramIndex"):
+            SegmentedFreeEngine(corpus, index)
 
     def test_rejects_corpus_size_mismatch(self, corpus, sharded):
         smaller = InMemoryCorpus.from_texts(TEXTS[:-1])
         with pytest.raises(FreeError, match="docs"):
-            ShardedFreeEngine(smaller, sharded)
-
-    def test_rejects_nonpositive_workers(self, corpus, sharded):
-        with pytest.raises(FreeError, match="workers"):
-            ShardedFreeEngine(corpus, sharded, workers=0)
-
-    def test_rejects_unknown_pool_kind(self, corpus, sharded):
-        with pytest.raises(FreeError, match="pool"):
-            ShardedFreeEngine(corpus, sharded, pool="greenlet")
+            wrap_index(smaller, sharded)
 
     def test_name_and_repr(self, corpus, sharded):
-        engine = ShardedFreeEngine(corpus, sharded, workers=2)
-        assert engine.name == "sharded"
-        assert "3 shards" in repr(engine)
-        assert "workers=2" in repr(engine)
+        engine = wrap_index(corpus, sharded)
+        assert isinstance(engine, SegmentedFreeEngine)
+        assert engine.name == "segmented"
+        assert "3 segments" in repr(engine)
 
     def test_epoch_is_stable(self, corpus, sharded):
         # Shards are immutable: the candidate-cache epoch never moves.
-        engine = ShardedFreeEngine(corpus, sharded)
+        engine = SegmentedFreeEngine(corpus, sharded)
+        engine.search("quick")
         assert engine._cache_epoch() == sharded.epoch == 0
 
 
-class TestPoolLifecycle:
-    def test_close_without_pool_is_noop(self, corpus, sharded):
-        engine = ShardedFreeEngine(corpus, sharded)
-        engine.close()
-        assert matches_of(engine.search("quick"))
-
-    def test_sequential_path_never_builds_a_pool(self, corpus, sharded):
-        engine = ShardedFreeEngine(corpus, sharded, workers=1)
-        engine.search("quick")
-        assert engine._pool is None
-
+class TestClose:
     def test_engine_usable_after_close(self, corpus, sharded):
-        with ShardedFreeEngine(
-            corpus, sharded, workers=2, pool="thread"
-        ) as engine:
+        with SegmentedFreeEngine(corpus, sharded) as engine:
             before = matches_of(engine.search("quick"))
-        # Context exit closed the pool; the sequential path still works,
-        # and a later parallel query rebuilds a fresh pool.
+        # Context exit dropped the caches; the engine still answers.
         assert matches_of(engine.search("quick")) == before
-        assert matches_of(engine.search("jump")) == \
-            matches_of(engine.search("jump"))
         engine.close()
-
-    def test_external_pool_is_shared_not_owned(self, corpus, sharded):
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            engine = ShardedFreeEngine(corpus, sharded, workers=2, pool=pool)
-            first = matches_of(engine.search("quick"))
-            engine.close()
-            # close() must not shut down a pool it does not own.
-            assert pool.submit(lambda: 41 + 1).result() == 42
-            assert matches_of(engine.search("quick")) == first
 
 
 class TestIntrospection:
     def test_explain_lists_every_shard(self, corpus, sharded):
-        engine = ShardedFreeEngine(corpus, sharded)
+        engine = SegmentedFreeEngine(corpus, sharded)
         text = engine.explain("quick")
         for ordinal in range(sharded.n_shards):
-            assert f"shard {ordinal}" in text
+            assert f"segment {ordinal}" in text
 
     def test_explain_marks_shard_scans(self, corpus, sharded):
-        engine = ShardedFreeEngine(corpus, sharded)
+        engine = SegmentedFreeEngine(corpus, sharded)
         # A starred pattern requires no gram: every shard plan is NULL.
-        assert "shard-scan" in engine.explain("z*")
+        assert "segment-scan" in engine.explain("z*")
 
     def test_explain_analyze_runs_the_query(self, corpus, sharded):
-        engine = ShardedFreeEngine(corpus, sharded)
+        engine = SegmentedFreeEngine(corpus, sharded)
         text = engine.explain("quick", analyze=True)
         assert "candidates" in text
 
     def test_estimate_is_undefined_per_shard(self, corpus, sharded):
-        engine = ShardedFreeEngine(corpus, sharded)
+        engine = SegmentedFreeEngine(corpus, sharded)
         assert engine.estimate("quick") is None
 
 
 class TestTracing:
-    def test_trace_has_one_span_per_shard(self, corpus, sharded):
-        engine = ShardedFreeEngine(corpus, sharded)
+    def test_trace_postings_span_counts_shards(self, corpus, sharded):
+        engine = SegmentedFreeEngine(corpus, sharded)
         report = engine.search("quick", trace=True)
-        spans = report.trace.find("shard")
-        assert [span.attrs["shard"] for span in spans] == \
-            list(range(sharded.n_shards))
-        for span in spans:
-            candidates = span.attrs["candidates"]
-            assert candidates == "shard-scan" or candidates >= 0
-
-    def test_traced_parallel_engine_falls_back(self, corpus, sharded):
-        # Tracing is single-threaded by design: even with workers the
-        # traced query runs sequentially and still carries shard spans.
-        with ShardedFreeEngine(
-            corpus, sharded, workers=2, pool="thread"
-        ) as engine:
-            report = engine.search("quick", trace=True)
-        assert report.trace.find("shard")
+        (span,) = report.trace.find("postings")
+        assert span.attrs["segments"] == sharded.n_shards
 
 
 class TestObservability:
-    def test_per_shard_counters_accumulate(self, corpus, sharded):
-        registry = MetricsRegistry()
-        engine = ShardedFreeEngine(corpus, sharded, registry=registry)
-        engine.search("quick")
-        samples = registry.snapshot()[
-            "free_shard_candidate_units_total"
-        ]["samples"]
-        assert set(samples) == {
-            f"shard={o}" for o in range(sharded.n_shards)
-        }
-
     def test_query_counters_still_fold(self, corpus, sharded):
         registry = MetricsRegistry()
-        engine = ShardedFreeEngine(corpus, sharded, registry=registry)
+        engine = SegmentedFreeEngine(corpus, sharded, registry=registry)
         engine.search("quick")
         queries = registry.snapshot()["free_queries_total"]["samples"]
-        assert queries == {"engine=sharded": 1.0}
+        assert queries == {"engine=segmented": 1.0}
 
 
 class TestPathGating:
-    def test_candidate_cache_forces_sequential_path(self, corpus, sharded):
-        # The candidate cache is a central decision: a parallel engine
-        # with it enabled must take the sequential path and actually
-        # hit the cache on the second identical query.
-        with ShardedFreeEngine(
-            corpus, sharded, workers=2, candidate_cache_size=8
+    def test_candidate_cache_hits_on_repeat(self, corpus, sharded):
+        with SegmentedFreeEngine(
+            corpus, sharded, candidate_cache_size=8
         ) as engine:
             first = engine.search("quick")
             second = engine.search("quick")
-        assert engine._pool is None
         assert second.metrics.candidate_cache_hit
         assert matches_of(first) == matches_of(second)
 
     def test_scan_only_pattern_sets_full_scan_flag(self, corpus, sharded):
-        engine = ShardedFreeEngine(corpus, sharded)
+        engine = SegmentedFreeEngine(corpus, sharded)
         report = engine.search("z*")
         assert report.used_full_scan
         reference = FreeEngine(
