@@ -10,7 +10,8 @@ This module supplies the shared machinery:
 * :class:`CFG` — an intraprocedural control-flow graph of basic
   blocks over one function body.  Handles ``if``/``while``/``for``
   (with back edges and ``break``/``continue``), ``try``/``except``/
-  ``finally`` (conservative block-level exception edges; abnormal
+  ``finally`` (block-level exception edges, marked so dataflow can
+  take them from the state before each statement; abnormal
   exits — ``return``/``break``/``continue``/``raise`` — are routed
   through pending ``finally`` blocks), ``with``, and early returns.
   Control statements appear as the *last* entry of the block that
@@ -126,6 +127,13 @@ class CFG:
         #: extra name definitions attached to a block entry (except
         #: handler targets get their name bound before the body runs).
         self.extra_defs: Dict[int, List["Definition"]] = {}
+        #: (src, dst) edges taken only when a statement of ``src``
+        #: raises: the try-body edges to handlers (or a bare finally).
+        self.raise_edges: Set[Tuple[int, int]] = set()
+        #: Blocks whose every exception a catch-all handler (bare
+        #: ``except:`` or ``except BaseException:``) of their own try
+        #: takes, so no outer handler gets an edge from them.
+        self.caught: Set[int] = set()
 
     # -- construction --------------------------------------------------------
 
@@ -397,22 +405,37 @@ class _Builder:
         after = self.cfg.new_block("try-after")
 
         # Body: every block created while the body builds gets a
-        # conservative exception edge to every handler entry.
+        # conservative exception edge to every handler entry.  It
+        # starts a block of its own, so statements before the try keep
+        # only the outer edges.
         before_count = len(self.cfg.blocks)
-        entry_block = self._ensure_current("try")
+        entry_block = self.cfg.new_block("try")
+        self.cfg.add_edge(self._ensure_current("try").id, entry_block.id)
+        self.current = entry_block
         self.try_stack.append(frame)
         self.visit_body(stmt.body)
-        body_blocks = [entry_block.id] + [
+        body_blocks = [
             b.id for b in self.cfg.blocks[before_count:]
             if not b.label.startswith(("except", "finally", "try-after"))
+            and b.id not in self.cfg.caught
         ]
+        if any(
+            handler.type is None
+            or (isinstance(handler.type, ast.Name)
+                and handler.type.id == "BaseException")
+            for handler in stmt.handlers
+        ):
+            self.cfg.caught.update(body_blocks)
         for bid in body_blocks:
-            for handler_id in frame.handler_entries:
-                self.cfg.add_edge(bid, handler_id)
-            if frame.finally_entry is not None and not frame.handler_entries:
+            raise_dests = list(frame.handler_entries)
+            if frame.finally_entry is not None and not raise_dests:
                 # An unhandled exception still runs the finally.
-                self.cfg.add_edge(bid, frame.finally_entry)
+                raise_dests.append(frame.finally_entry)
                 frame.exit_targets.add(self.cfg.exit_id)
+            for dest in raise_dests:
+                if dest not in self.cfg.blocks[bid].succs:
+                    self.cfg.raise_edges.add((bid, dest))
+                    self.cfg.add_edge(bid, dest)
         end_of_body = self.current
 
         # else clause continues the normal path.
@@ -431,6 +454,7 @@ class _Builder:
             else after.id
         )
         if end_of_body is not None:
+            self.cfg.raise_edges.discard((end_of_body.id, normal_dest))
             self.cfg.add_edge(end_of_body.id, normal_dest)
 
         for handler, entry_id in zip(stmt.handlers, frame.handler_entries):
@@ -780,10 +804,20 @@ def analyze_resource(
     states_in: Dict[int, Set[str]] = {b.id: set() for b in cfg.blocks}
 
     def transfer(
-        states: Set[str], block: Block, collect: Optional[List[ResourceEvent]]
+        states: Set[str],
+        block: Block,
+        collect: Optional[List[ResourceEvent]],
+        raising: bool = False,
     ) -> Set[str]:
+        """The block's exit state; with ``raising``, the union of the
+        states a raising statement leaves instead: the state before it
+        (a completed assignment cannot raise), except that a raising
+        ``close()`` still counts as closed."""
         current = set(states)
+        raised: Set[str] = set()
         for stmt in block.stmts:
+            if raising and not _close_call_on(stmt, name):
+                raised |= current
             if stmt is creation:
                 current = {OPEN}
                 continue
@@ -805,7 +839,9 @@ def analyze_resource(
                 current = {TRANSFERRED}
             elif _reassigns(stmt, name):
                 current = set()
-        return current
+            if raising and _close_call_on(stmt, name):
+                raised |= current
+        return raised if raising else current
 
     changed = True
     while changed:
@@ -814,7 +850,8 @@ def analyze_resource(
             incoming: Set[str] = set()
             for pred in block.preds:
                 incoming |= transfer(
-                    states_in[pred], cfg.block(pred), None
+                    states_in[pred], cfg.block(pred), None,
+                    raising=(pred, block.id) in cfg.raise_edges,
                 )
             if incoming - states_in[block.id]:
                 states_in[block.id] |= incoming

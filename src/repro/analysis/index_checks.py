@@ -438,7 +438,7 @@ def check_segmented_index(
             f"epoch {seg_index.epoch} < {floor} recorded mutations "
             f"({len(seg_index.segments)} segments + {n_tombstones} "
             f"tombstones); some mutation skipped its epoch bump, so "
-            f"candidate caches may serve stale results",
+            f"answer caches may serve stale results",
             subject="segmented index",
         ))
     return findings

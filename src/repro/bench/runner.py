@@ -278,7 +278,7 @@ def run_repeated_queries(
     """Issue the same pattern set ``repeats`` times, caching on vs off.
 
     Real deployments re-serve a hot pattern set (the ROADMAP's repeated
-    heavy traffic); this measures what the plan/candidate caches buy
+    heavy traffic); this measures what the plan/answer caches buy
     there and proves they change nothing about the answers.  Pass either
     a workload or an explicit (corpus, index) pair.
     """
@@ -291,17 +291,17 @@ def run_repeated_queries(
         raise ValueError("repeats must be >= 1")
 
     # Three tiers: no caching, plan+matcher caching (answers recomputed
-    # every time), and the full stack with the candidate cache on.  The
-    # middle tier exists because a candidate-cache hit skips planning
+    # every time), and the full stack with the answer cache on.  The
+    # middle tier exists because an answer-cache hit skips planning
     # altogether — only the plan-cache tier shows the planner's hit rate.
     configs = (
         ("uncached", 0, 0, 0),
         ("plan-cache", 256, 0, 256),
-        ("full-cache", 256, 256, 256),
+        ("full-cache", 256, 2 * 1024 * 1024, 256),
     )
     rows: List[Dict[str, object]] = []
     match_counts: Dict[str, List[int]] = {}
-    for mode, plan_sz, cand_sz, matcher_sz in configs:
+    for mode, plan_sz, answer_bytes, matcher_sz in configs:
         total_plan = 0.0
         total_execute = 0.0
         total_io = 0.0
@@ -313,7 +313,7 @@ def run_repeated_queries(
             index,
             disk=DiskModel(),
             plan_cache_size=plan_sz,
-            candidate_cache_size=cand_sz,
+            answer_cache_bytes=answer_bytes,
             matcher_cache_size=matcher_sz,
         ) as engine:
             for _round in range(repeats):
@@ -398,7 +398,7 @@ def run_core(
         workload.multigram,
         disk=DiskModel(),
         plan_cache_size=256,
-        candidate_cache_size=256,
+        answer_cache_bytes=2 * 1024 * 1024,
         matcher_cache_size=256,
         registry=registry,
     )
@@ -990,7 +990,6 @@ def run_postings(
                 corpus,
                 load_index(path),
                 disk=DiskModel(),
-                candidate_cache_size=0,
             )
             for name, path in paths.items()
         }

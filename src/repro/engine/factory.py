@@ -38,7 +38,7 @@ def wrap_index(
     index: AnyIndex,
     registry: Optional[MetricsRegistry] = None,
     plan_cache_size: int = 128,
-    candidate_cache_size: int = 0,
+    answer_cache_bytes: int = 0,
     matcher_cache_size: int = 128,
 ) -> FreeEngine:
     """Wrap an already-loaded index in the right engine kind.
@@ -58,7 +58,7 @@ def wrap_index(
             index,
             registry=registry,
             plan_cache_size=plan_cache_size,
-            candidate_cache_size=candidate_cache_size,
+            answer_cache_bytes=answer_cache_bytes,
             matcher_cache_size=matcher_cache_size,
         )
     return FreeEngine(
@@ -66,7 +66,7 @@ def wrap_index(
         index,
         registry=registry,
         plan_cache_size=plan_cache_size,
-        candidate_cache_size=candidate_cache_size,
+        answer_cache_bytes=answer_cache_bytes,
         matcher_cache_size=matcher_cache_size,
     )
 
@@ -75,7 +75,7 @@ def open_ingest_engine(
     path: str,
     registry: Optional[MetricsRegistry] = None,
     plan_cache_size: int = 128,
-    candidate_cache_size: int = 0,
+    answer_cache_bytes: int = 0,
     matcher_cache_size: int = 128,
     read_only: bool = True,
 ) -> SegmentedFreeEngine:
@@ -95,7 +95,7 @@ def open_ingest_engine(
         directory.index,
         registry=registry,
         plan_cache_size=plan_cache_size,
-        candidate_cache_size=candidate_cache_size,
+        answer_cache_bytes=answer_cache_bytes,
         matcher_cache_size=matcher_cache_size,
         owned=directory,
     )
@@ -106,7 +106,7 @@ def open_engine(
     index_path: str,
     registry: Optional[MetricsRegistry] = None,
     plan_cache_size: int = 128,
-    candidate_cache_size: int = 0,
+    answer_cache_bytes: int = 0,
     matcher_cache_size: int = 128,
 ) -> FreeEngine:
     """Load either index image kind — or an ingest directory — and wrap
@@ -121,7 +121,7 @@ def open_engine(
             index_path,
             registry=registry,
             plan_cache_size=plan_cache_size,
-            candidate_cache_size=candidate_cache_size,
+            answer_cache_bytes=answer_cache_bytes,
             matcher_cache_size=matcher_cache_size,
         )
     if corpus is None:
@@ -134,6 +134,6 @@ def open_engine(
         load_any_index(index_path),
         registry=registry,
         plan_cache_size=plan_cache_size,
-        candidate_cache_size=candidate_cache_size,
+        answer_cache_bytes=answer_cache_bytes,
         matcher_cache_size=matcher_cache_size,
     )

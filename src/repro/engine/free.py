@@ -21,18 +21,19 @@ cache (ROADMAP: heavy repeated traffic):
   holds the logical plan plus one physical plan per index part it has
   run against (the flat index or a segment's), kept with the
   part's epoch — a sealed segment is planned once for its lifetime;
-* a **candidate cache** (off by default) — LRU of materialized
-  candidate-id lists; a hit skips the whole postings phase, including
-  its simulated postings I/O;
+* an **answer cache** (off by default) — byte-bounded LRU of
+  confirmed answers (frozen matches plus counts) keyed by ``(pattern,
+  cover_policy, distribute, epoch, limit, collect_matches)``; a hit
+  skips planning, postings, fetch and matching, and reads nothing;
 * a **matcher cache** — LRU of compiled automata (previously an
   unbounded dict).
 
-Plan and candidate entries are dropped when the attached index changes
+Plan and answer entries are dropped when the attached index changes
 (assign ``engine.index`` or call :meth:`invalidate_caches`).  The index
-epoch keys only the candidate cache, so mutable indexes (the segmented
-engine) can never serve stale candidates; physical plans are keyed by
-the index part and epoch they were compiled for, and tombstones and
-the memtable are applied after plan execution.
+epoch keys only the answer cache, read before any work, so mutable
+indexes (the segmented engine) can never serve a stale answer; physical
+plans are keyed by the index part and epoch they were compiled for, and
+tombstones and the memtable are applied after plan execution.
 
 Every execution reports wall time *and* simulated I/O cost, plus a
 :class:`~repro.metrics.QueryMetrics` with per-stage counters; the
@@ -87,9 +88,6 @@ from repro.plan.logical import LogicalPlan
 from repro.plan.physical import CompiledPlans, CoverPolicy, PhysicalPlan
 from repro.regex.matcher import Matcher
 
-#: Candidate-cache sentinel for "the plan said scan everything".
-_SCAN_ALL = object()
-
 #: Closed vocabulary of engine metric label values (CONC005).
 _ENGINE_LABELS = frozenset({"free", "scan", "segmented"})
 
@@ -110,6 +108,37 @@ class _BatchGroup:
         self.candidates: Optional[List[int]] = None
 
 
+#: Report fields an answer-cache entry stores besides its matches.
+_ANSWER_FIELDS = (
+    "n_matches_found", "matching_units", "n_candidates", "n_units_read",
+    "used_full_scan", "truncated",
+)
+
+#: Accounted bytes of an answer-cache entry: a fixed cost per answer
+#: plus, per match, a frozen ``Match`` (~150 bytes of CPython objects
+#: measured with tracemalloc) and its text.
+_ANSWER_BYTES = 256
+_MATCH_BYTES = 160
+
+
+class _Answer:
+    """One confirmed, immutable query answer (an answer-cache value)."""
+
+    __slots__ = ("matches", "fields", "nbytes")
+
+    def __init__(self, report: SearchReport):
+        self.matches = tuple(report.matches)
+        self.fields = tuple(getattr(report, name) for name in _ANSWER_FIELDS)
+        self.nbytes = _ANSWER_BYTES + sum(
+            _MATCH_BYTES + len(match.text) for match in self.matches
+        )
+
+    def fill(self, report: SearchReport) -> None:
+        report.matches = list(self.matches)
+        for name, value in zip(_ANSWER_FIELDS, self.fields):
+            setattr(report, name, value)
+
+
 class FreeEngine:
     """A corpus + (optional) index + matcher, ready for queries.
 
@@ -128,11 +157,11 @@ class FreeEngine:
             (stronger grams; the paper's deferred optimization).
         plan_cache_size: LRU capacity of the compiled-plan cache
             (0 disables).
-        candidate_cache_size: LRU capacity of the materialized
-            candidate-id cache.  Off by default because a hit skips the
-            postings phase *including its simulated I/O*, which changes
-            per-query cost accounting; repeated-query serving turns it
-            on.
+        answer_cache_bytes: byte budget of the answer cache (0
+            disables).  Off by default because a hit reads nothing
+            and reports ``io_cost`` 0, which changes per-query cost
+            accounting; repeated-query serving turns it on.  An answer
+            larger than the whole budget is never stored.
         matcher_cache_size: LRU capacity of the compiled-matcher cache
             (previously unbounded).
         registry: the :class:`MetricsRegistry` cumulative query metrics
@@ -154,7 +183,7 @@ class FreeEngine:
         min_candidate_ratio: Optional[float] = None,
         distribute: bool = False,
         plan_cache_size: int = 128,
-        candidate_cache_size: int = 0,
+        answer_cache_bytes: int = 0,
         matcher_cache_size: int = 128,
         registry: Optional[MetricsRegistry] = None,
     ):
@@ -165,7 +194,9 @@ class FreeEngine:
         self.distribute = distribute
         self.registry = registry if registry is not None else get_registry()
         self._plan_cache = LRUCache(plan_cache_size)
-        self._candidate_cache = LRUCache(candidate_cache_size)
+        self._answer_cache = LRUCache(
+            answer_cache_bytes, lambda answer: answer.nbytes
+        )
         self._matcher_cache = LRUCache(matcher_cache_size)
         self._index = index
 
@@ -175,7 +206,7 @@ class FreeEngine:
 
     @index.setter
     def index(self, value: Optional[GramIndex]) -> None:
-        """Swap the index and invalidate every plan/candidate cache."""
+        """Swap the index and invalidate every plan/answer cache."""
         self._index = value
         self.invalidate_caches()
 
@@ -190,8 +221,8 @@ class FreeEngine:
         return self._plan_cache
 
     @property
-    def candidate_cache(self) -> LRUCache:
-        return self._candidate_cache
+    def answer_cache(self) -> LRUCache:
+        return self._answer_cache
 
     @property
     def matcher_cache(self) -> LRUCache:
@@ -206,13 +237,13 @@ class FreeEngine:
         automata depend only on the pattern.
         """
         self._plan_cache.clear()
-        self._candidate_cache.clear()
+        self._answer_cache.clear()
 
     def close(self) -> None:
         """Release engine-held resources.
 
         The base engine holds none beyond its caches (dropped here so a
-        closed engine does not pin candidate lists); subclasses with
+        closed engine does not pin answers); subclasses with
         real resources (the segmented engine's owned ingest directory)
         override and must stay safe to call twice.  Long-lived callers — the CLI,
         the benchmarks, ``free serve`` — use the engine as a context
@@ -236,11 +267,12 @@ class FreeEngine:
         the same outcomes are folded into :attr:`registry` as labeled
         ``free_cache_requests_total`` counters whose
         ``snapshot()``/``delta()``/``reset()`` API distinguishes
-        per-window from cumulative numbers.
+        per-window from cumulative numbers.  The ``candidates`` entry
+        counts the answer cache (the key predates it).
         """
         return {
             "plan": self._plan_cache.stats(),
-            "candidates": self._candidate_cache.stats(),
+            "candidates": self._answer_cache.stats(),
             "matcher": self._matcher_cache.stats(),
         }
 
@@ -249,7 +281,7 @@ class FreeEngine:
 
         Immutable indexes are always at epoch 0; mutable ones (the
         segmented engine overrides this) bump it on every add/delete so
-        candidate-cache keys from older contents can never hit.
+        answer-cache keys from older contents can never hit.
         """
         return getattr(self._index, "epoch", 0)
 
@@ -348,13 +380,17 @@ class FreeEngine:
                 parts.append(plan_trace.render())
             return "\n".join(parts)
         report = self.search(pattern, collect_matches=False, trace=trace)
-        sizes = report.metrics.lookup_sizes() if report.metrics else {}
+        metrics = report.metrics
+        sizes = metrics.lookup_sizes() if metrics else {}
         annotations = {}
         for key in set(physical.lookups()):
             estimated = len(self._index.lookup(key))
             actual = sizes.get(key)
             if actual is None:
-                actual_text = "not read (candidate cache hit)"
+                actual_text = (
+                    "answered from cache"
+                    if metrics and metrics.candidate_cache_hit else "not read"
+                )
             else:
                 n_ids, from_cache = actual
                 actual_text = f"actual {n_ids}"
@@ -483,7 +519,16 @@ class FreeEngine:
         trace: Union[bool, Trace],
         group: Optional[_BatchGroup],
     ) -> SearchReport:
-        """The shared body of :meth:`search` and :meth:`search_batch`."""
+        """The shared body of :meth:`search` and :meth:`search_batch`.
+
+        The answer cache is consulted first, under a key holding the
+        epoch read before any work: a hit fills the report from the
+        stored answer and plans, fetches and matches nothing.
+        """
+        key = (
+            pattern, self.cover_policy, self.distribute,
+            self._cache_epoch(), limit, collect_matches,
+        )
         metrics = QueryMetrics(kernel_backend=self.kernel.name)
         if isinstance(trace, Trace):
             request_trace: Optional[Trace] = trace
@@ -498,60 +543,81 @@ class FreeEngine:
         self.disk.attach_metrics(metrics)
         try:
             with maybe_span(request_trace, "search", pattern=pattern):
-                plan_started = monotonic()
-                matcher = self._matcher(pattern, metrics)
-                if group is not None and group.resolved:
-                    metrics.batch_candidates_reused = True
-                    candidates = (
-                        None if group.candidates is None
-                        else list(group.candidates)
+                started = monotonic()
+                answer = None
+                if self._answer_cache.capacity:
+                    with maybe_span(request_trace, "answer_cache"):
+                        answer = self._answer_cache.get(key)
+                    metrics.candidate_cache_hit = answer is not None
+                if answer is None:
+                    self._answer_query(
+                        report, metrics, limit, collect_matches, group
                     )
+                    if self._answer_cache.capacity:
+                        self._answer_cache.put(key, _Answer(report))
                 else:
-                    candidates = self._cached_candidates(pattern, metrics)
-                    if group is not None:
-                        metrics.batch_candidates_reused = False
-                if (
-                    candidates is not None
-                    and self.min_candidate_ratio is not None
-                ):
-                    if (
-                        len(candidates)
-                        > self.min_candidate_ratio * len(self.corpus)
-                    ):
-                        candidates = None  # optimizer chose the scan
-                        metrics.optimizer_fallback = True
-                if group is not None and not group.resolved:
-                    # Store post-fallback so the whole group shares the
-                    # optimizer's decision, not just the raw id list.
-                    group.candidates = (
-                        None if candidates is None else list(candidates)
-                    )
-                    group.resolved = True
-                report.plan_seconds = monotonic() - plan_started
-                metrics.phase_seconds["plan"] = report.plan_seconds
-
-                execute_started = monotonic()
-                if candidates is None:
-                    report.used_full_scan = True
-                    report.n_candidates = len(self.corpus)
-                    units: Iterable[DataUnit] = self._scan_units()
-                else:
-                    report.n_candidates = len(candidates)
-                    units = self._fetch_units(candidates)
-
-                self._confirm(units, matcher, report, limit, collect_matches)
-                report.execute_seconds = monotonic() - execute_started
-                metrics.phase_seconds["execute"] = report.execute_seconds
+                    answer.fill(report)
+                    report.plan_seconds = monotonic() - started
+                    metrics.phase_seconds["plan"] = report.plan_seconds
         finally:
             self.disk.detach_metrics()
 
         io_after = self.disk.snapshot()
         report.io_cost = io_after["total_cost"] - io_before["total_cost"]
         report.io_detail = {
-            key: io_after[key] - io_before[key] for key in io_after
+            name: io_after[name] - io_before[name] for name in io_after
         }
         self._observe_query(report, metrics)
         return report
+
+    def _answer_query(
+        self,
+        report: SearchReport,
+        metrics: QueryMetrics,
+        limit: Optional[int],
+        collect_matches: bool,
+        group: Optional[_BatchGroup],
+    ) -> None:
+        """Plan, fetch and confirm: the work an answer-cache hit skips."""
+        plan_started = monotonic()
+        matcher = self._matcher(report.pattern, metrics)
+        if group is not None and group.resolved:
+            metrics.batch_candidates_reused = True
+            candidates = (
+                None if group.candidates is None else list(group.candidates)
+            )
+        else:
+            candidates = self._candidates(
+                report.pattern, metrics, first_k=self._candidate_bound()
+            )
+            if group is not None:
+                metrics.batch_candidates_reused = False
+        if candidates is not None and self.min_candidate_ratio is not None:
+            if len(candidates) > self.min_candidate_ratio * len(self.corpus):
+                candidates = None  # optimizer chose the scan
+                metrics.optimizer_fallback = True
+        if group is not None and not group.resolved:
+            # Store post-fallback so the whole group shares the
+            # optimizer's decision, not just the raw id list.
+            group.candidates = (
+                None if candidates is None else list(candidates)
+            )
+            group.resolved = True
+        report.plan_seconds = monotonic() - plan_started
+        metrics.phase_seconds["plan"] = report.plan_seconds
+
+        execute_started = monotonic()
+        if candidates is None:
+            report.used_full_scan = True
+            report.n_candidates = len(self.corpus)
+            units: Iterable[DataUnit] = self._scan_units()
+        else:
+            report.n_candidates = len(candidates)
+            units = self._fetch_units(candidates)
+
+        self._confirm(units, matcher, report, limit, collect_matches)
+        report.execute_seconds = monotonic() - execute_started
+        metrics.phase_seconds["execute"] = report.execute_seconds
 
     def first_k(
         self,
@@ -574,31 +640,6 @@ class FreeEngine:
         return frequency_ranked(report.matches, top=top)
 
     # -- internals -----------------------------------------------------------
-
-    def _cached_candidates(
-        self, pattern: str, metrics: QueryMetrics
-    ) -> Optional[List[int]]:
-        """Candidate ids via the LRU cache (when enabled).
-
-        Cache keys include the index epoch, so entries computed against
-        older index contents are unreachable after any mutation.
-        """
-        bound = self._candidate_bound()
-        if self._candidate_cache.capacity == 0:
-            return self._candidates(pattern, metrics, first_k=bound)
-        key = (
-            pattern, self.cover_policy, self.distribute, self._cache_epoch()
-        )
-        cached = self._candidate_cache.get(key)
-        if cached is not None:
-            metrics.candidate_cache_hit = True
-            return None if cached is _SCAN_ALL else list(cached)
-        metrics.candidate_cache_hit = False
-        result = self._candidates(pattern, metrics, first_k=bound)
-        self._candidate_cache.put(
-            key, _SCAN_ALL if result is None else tuple(result)
-        )
-        return result
 
     def _candidate_bound(self) -> Optional[int]:
         """Candidate-count cap implied by ``min_candidate_ratio``.
@@ -766,7 +807,7 @@ class FreeEngine:
         )
         for cache_name, flag in (
             ("plan", metrics.plan_cache_hit),
-            ("candidates", metrics.candidate_cache_hit),
+            ("answers", metrics.candidate_cache_hit),
             ("matcher", metrics.matcher_cache_hit),
         ):
             if flag is None:

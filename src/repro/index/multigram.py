@@ -81,7 +81,7 @@ class GramIndex:
 
     #: Content version stamp.  A plain :class:`GramIndex` is immutable,
     #: so it is always at epoch 0; mutable wrappers (the segmented
-    #: index) bump their own counter.  The engine's candidate-cache
+    #: index) bump their own counter.  The engine's answer-cache
     #: keys and the static analyzer both read this uniformly.
     epoch: int = 0
 

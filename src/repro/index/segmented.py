@@ -23,7 +23,8 @@ once per pattern and reuses the plan for the segment's lifetime.
 from __future__ import annotations
 
 from typing import (
-    TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set, Tuple, Union,
+    TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Sequence, Set,
+    Tuple, Union,
 )
 
 from repro.corpus.document import DataUnit
@@ -108,7 +109,7 @@ class SegmentedGramIndex:
         self.segments: List[Segment] = []
         self._segment_of: Dict[int, Segment] = {}
         #: Content version: bumped on every add/delete/merge so engine
-        #: candidate caches keyed on it can never serve stale results.
+        #: answer caches keyed on it can never serve stale results.
         self.epoch = 0
 
     # -- construction -----------------------------------------------------
@@ -317,7 +318,7 @@ class SegmentedFreeEngine(FreeEngine):
         disk: Optional[DiskModel] = None,
         cover_policy: Union["CoverPolicy", str] = "all",
         distribute: bool = False,
-        candidate_cache_size: int = 0,
+        answer_cache_bytes: int = 0,
         min_candidate_ratio: Optional[float] = None,
         plan_cache_size: int = 128,
         matcher_cache_size: int = 128,
@@ -337,7 +338,7 @@ class SegmentedFreeEngine(FreeEngine):
             min_candidate_ratio=min_candidate_ratio,
             distribute=distribute,
             plan_cache_size=plan_cache_size,
-            candidate_cache_size=candidate_cache_size,
+            answer_cache_bytes=answer_cache_bytes,
             matcher_cache_size=matcher_cache_size,
             registry=registry,
         )
@@ -350,6 +351,16 @@ class SegmentedFreeEngine(FreeEngine):
 
     def _cache_epoch(self) -> int:
         return self.seg_index.epoch
+
+    def _scan_units(self) -> Iterator[DataUnit]:
+        """The sequential scan minus tombstoned documents, which an
+        in-memory corpus still holds (an ingest corpus drops them)."""
+        segments, _unindexed = self.seg_index.snapshot()
+        deleted = set().union(*(segment.deleted for segment in segments))
+        for unit in self.corpus:
+            if unit.doc_id not in deleted:
+                self.disk.charge_sequential(len(unit.text))
+                yield unit
 
     def _candidates(
         self,

@@ -4,8 +4,8 @@ The ROADMAP's production goal is heavy repeated-query traffic, where two
 things matter that the paper's one-shot evaluation never measures:
 
 * **caching** — real workloads re-issue the same patterns, so the plan
-  (parse + compile) and even the materialized candidate set can be
-  reused (:class:`LRUCache` is the shared bounded-memory machinery);
+  (parse + compile) and even the confirmed answer can be reused
+  (:class:`LRUCache` is the shared bounded-memory machinery);
 * **observability** — a flat wall-time number cannot explain *why* a
   query was slow; :class:`QueryMetrics` records per-stage counters
   (cache hits, postings decoded, intersection shrinkage, prefilter
@@ -20,7 +20,9 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, Hashable, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, Hashable, List, Optional, Tuple,
+)
 
 if TYPE_CHECKING:  # import-free at runtime: obs stays optional here
     from repro.obs.trace import Trace
@@ -36,14 +38,25 @@ class LRUCache:
 
     Values must not be ``None`` — ``get`` uses ``None`` as its miss
     default (store a sentinel for "legitimately empty" entries).
+
+    ``capacity`` bounds the summed ``weigh(value)`` of the entries —
+    their count by default, accounted bytes for the answer cache.  An
+    entry heavier than the whole capacity is never stored.
     """
 
-    __slots__ = ("capacity", "_data", "hits", "misses", "evictions")
+    __slots__ = (
+        "capacity", "_weigh", "weight", "_data", "hits", "misses",
+        "evictions",
+    )
 
-    def __init__(self, capacity: int):
+    def __init__(
+        self, capacity: int, weigh: Callable[[Any], int] = lambda _: 1
+    ):
         if capacity < 0:
             raise ValueError("LRU capacity must be >= 0")
         self.capacity = capacity
+        self._weigh = weigh
+        self.weight = 0
         self._data: "OrderedDict[Hashable, Any]" = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -63,17 +76,22 @@ class LRUCache:
         return value
 
     def put(self, key: Hashable, value: Any) -> None:
-        if self.capacity == 0:
+        weight = self._weigh(value)
+        if weight > self.capacity:
             return
-        if key in self._data:
-            self._data.move_to_end(key)
+        old = self._data.pop(key, None)
+        if old is not None:
+            self.weight -= self._weigh(old)
         self._data[key] = value
-        if len(self._data) > self.capacity:
-            self._data.popitem(last=False)
+        self.weight += weight
+        while self.weight > self.capacity:
+            _key, evicted = self._data.popitem(last=False)
+            self.weight -= self._weigh(evicted)
             self.evictions += 1
 
     def clear(self) -> None:
         self._data.clear()
+        self.weight = 0
 
     def __len__(self) -> int:
         return len(self._data)
@@ -92,6 +110,7 @@ class LRUCache:
         return {
             "capacity": self.capacity,
             "entries": len(self._data),
+            "weight": self.weight,
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,
@@ -123,14 +142,16 @@ class QueryMetrics:
     """Per-stage counters for one query execution.
 
     Tri-state cache flags are ``None`` when that cache was never
-    consulted (e.g. the candidate cache is disabled, or the query went
-    down the scan path), ``True``/``False`` for hit/miss.
+    consulted (e.g. the answer cache is disabled, or an answer-cache
+    hit skipped planning and matching), ``True``/``False`` for
+    hit/miss.
 
     Attributes:
         plan_cache_hit: the query compiled no plan — its logical plan
             and every physical plan it ran came from the plan cache.
-        candidate_cache_hit: materialized candidate-id list served
-            from LRU (the whole postings phase was skipped).
+        candidate_cache_hit: the confirmed answer was served from the
+            engine's answer cache (no planning, postings, fetch or
+            matching ran; the name predates the answer cache).
         matcher_cache_hit: compiled automaton served from LRU.
         lookups: one :class:`LookupRecord` per index lookup executed.
         postings_entries_decoded: postings entries varint-decoded (cache
@@ -293,7 +314,7 @@ class QueryMetrics:
         lines = [
             "query metrics:",
             f"  caches: plan={flag(self.plan_cache_hit)} "
-            f"candidates={flag(self.candidate_cache_hit)} "
+            f"answers={flag(self.candidate_cache_hit)} "
             f"matcher={flag(self.matcher_cache_hit)}",
             f"  postings: {len(self.lookups)} lookups, "
             f"{self.postings_entries_decoded} entries decoded "

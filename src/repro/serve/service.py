@@ -2,7 +2,7 @@
 
 FREE's premise is *index once, query many* — this module finally makes
 "many" cheap.  A :class:`QueryService` loads one index image, builds a
-small pool of warm worker engines on top of it (plan/candidate/matcher
+small pool of warm worker engines on top of it (plan/answer/matcher
 caches stay hot across requests) and serves them over the minimal HTTP
 layer of :mod:`repro.serve.http`:
 
@@ -137,9 +137,10 @@ class ServeConfig:
     #: (the old file moves to ``<path>.1``); None = never rotate.
     query_log_max_bytes: Optional[int] = None
     plan_cache_size: int = 256
-    #: On by default: serving is exactly the repeated-traffic workload
-    #: the candidate cache exists for (see FreeEngine docs).
-    candidate_cache_size: int = 256
+    #: Byte budget of each worker's answer cache; on by default:
+    #: serving is exactly the repeated-traffic workload it exists for
+    #: (see FreeEngine docs).
+    answer_cache_bytes: int = 2 * 1024 * 1024
     matcher_cache_size: int = 256
     #: Fraction of traces kept probabilistically (deterministic in the
     #: trace id; see repro.obs.ids.should_sample).
@@ -349,17 +350,18 @@ def build_slots(
         for _ordinal in range(config.workers):
             corpus = DeadlineCorpus(corpus_opener())
             try:
-                slots.append(_EngineSlot(corpus, wrap_index(
+                engine = wrap_index(
                     corpus,
                     index,
                     registry=registry,
                     plan_cache_size=config.plan_cache_size,
-                    candidate_cache_size=config.candidate_cache_size,
+                    answer_cache_bytes=config.answer_cache_bytes,
                     matcher_cache_size=config.matcher_cache_size,
-                )))
-            except Exception:
+                )
+            except BaseException:
                 corpus.close()
                 raise
+            slots.append(_EngineSlot(corpus, engine))
     except Exception:
         for slot in slots:
             slot.close()

@@ -145,6 +145,83 @@ class TestEscape:
         assert hits == []
 
 
+class TestRaisingHandler:
+    """A try-body exception edge carries the state before the raising
+    statement, not the block's end state."""
+
+    def test_bad_fixture_leaks_through_the_handler(self):
+        hits = check_source(
+            read_fixture("res001_try_bad.py"), "res001_try_bad.py"
+        )
+        assert codes(hits) == ["RES001"]
+        assert "wrap_index" in hits[0][0].message
+
+    def test_completed_binding_cannot_raise(self):
+        hits = check_source(
+            read_fixture("res001_try_fixed.py"), "res001_try_fixed.py"
+        )
+        assert hits == []
+
+    def test_catch_all_inner_handler_shields_the_outer_one(self):
+        # The serve slot-building shape: the corpus is closed by the
+        # inner catch-all handler, so the outer handler never sees it
+        # open; the engine is bound by the inner try's last statement.
+        hits = run("""
+        def build(opener, index, n):
+            slots = []
+            try:
+                for _ in range(n):
+                    corpus = DeadlineCorpus(opener())
+                    try:
+                        engine = wrap_index(corpus, index)
+                    except BaseException:
+                        corpus.close()
+                        raise
+                    slots.append((corpus, engine))
+            except Exception:
+                for slot in slots:
+                    slot.close()
+                raise
+            return slots
+        """)
+        assert hits == []
+
+    def test_narrow_inner_handler_still_reaches_the_outer_one(self):
+        # ``except Exception`` lets a KeyboardInterrupt in wrap_index
+        # propagate straight to the outer handler with the corpus open.
+        hits = run("""
+        def build(opener, index, n):
+            slots = []
+            try:
+                for _ in range(n):
+                    corpus = DeadlineCorpus(opener())
+                    try:
+                        engine = wrap_index(corpus, index)
+                    except Exception:
+                        corpus.close()
+                        raise
+                    slots.append((corpus, engine))
+            except Exception:
+                for slot in slots:
+                    slot.close()
+                raise
+            return slots
+        """)
+        assert codes(hits) == ["RES001"]
+        assert "'corpus'" in hits[0][0].message
+
+    def test_raising_close_counts_as_closed(self):
+        hits = run("""
+        def f(path):
+            handle = open(path)
+            try:
+                handle.close()
+            finally:
+                pass
+        """)
+        assert hits == []
+
+
 class TestDoubleClose:
     def test_sequential_double_close(self):
         hits = run("""

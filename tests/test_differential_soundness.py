@@ -162,16 +162,18 @@ def test_sharded_byte_identical_to_single_shard(node, corpus):
 @settings(max_examples=30, deadline=None)
 @given(node=asts(), corpus=corpora, n_shards=st.sampled_from(SHARD_COUNTS))
 def test_cached_equals_uncached(node, corpus, n_shards):
-    """Candidate/plan caches never change answers, sharded or not."""
+    """Answer/plan caches never change answers, sharded or not."""
     pattern = node.to_pattern()
     sharded = ShardedIndex.build(
         corpus, n_shards, threshold=0.3, max_gram_len=4
     )
-    uncached = SegmentedFreeEngine(corpus, sharded, candidate_cache_size=0)
-    cached = SegmentedFreeEngine(corpus, sharded, candidate_cache_size=32)
+    uncached = SegmentedFreeEngine(corpus, sharded)
+    cached = SegmentedFreeEngine(
+        corpus, sharded, answer_cache_bytes=1 << 20
+    )
     reference = result_fingerprint(uncached.search(pattern))
     first = cached.search(pattern)
-    second = cached.search(pattern)  # served from the candidate cache
+    second = cached.search(pattern)  # served from the answer cache
     assert result_fingerprint(first) == reference
     assert result_fingerprint(second) == reference
     assert second.metrics.candidate_cache_hit

@@ -79,7 +79,7 @@ class TestPlanCacheEpoch:
         """End to end: post-bump searches reflect re-planning."""
         index = build_multigram_index(small_corpus, threshold=0.3)
         engine = FreeEngine(
-            small_corpus, index, candidate_cache_size=8
+            small_corpus, index, answer_cache_bytes=1 << 16
         )
         r1 = engine.search("stanford", collect_matches=False)
         index.epoch = index.epoch + 1

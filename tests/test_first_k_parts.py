@@ -168,3 +168,26 @@ class TestIngestBound:
                 )
 
             check_fallback_rule(make, corpus, truth)
+
+
+class TestScanFallbackSkipsTombstones:
+    """An in-memory corpus still holds tombstoned documents: the scan
+    the ratio guard falls back to must neither read nor return them."""
+
+    def test_fallback_answer_equals_index_answer(self):
+        corpus = InMemoryCorpus.from_texts(
+            ["abc one", "abc two", "xyz", "qrs"]
+        )
+        seg_index = SegmentedGramIndex.build(corpus)
+        assert seg_index.delete(0)
+        for ratio in (None, 0.1):
+            report = SegmentedFreeEngine(
+                corpus, seg_index, min_candidate_ratio=ratio,
+                registry=MetricsRegistry(),
+            ).search("abc")
+            assert [m.doc_id for m in report.matches] == [1]
+        assert report.used_full_scan and report.metrics.optimizer_fallback
+        assert report.n_units_read == 3
+        assert report.io_detail["sequential_chars"] == sum(
+            len(corpus.get(doc_id).text) for doc_id in (1, 2, 3)
+        )

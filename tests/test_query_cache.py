@@ -1,4 +1,4 @@
-"""Query-path caching and per-query metrics (plan/candidate/matcher LRUs).
+"""Query-path caching and per-query metrics (plan/answer/matcher LRUs).
 
 Covers the cache layer end to end: the LRU primitive, cache soundness
 (identical answers with caching on/off, invalidation on index change,
@@ -140,16 +140,22 @@ class TestPlanCache:
 
 
 class TestCandidateCache:
+    """The answer cache (it keeps the ``candidate_cache_hit`` flag and
+    the ``candidates`` stats key of the cache it replaced)."""
+
     def test_hit_skips_postings_io(self, corpus, index):
-        engine = make_engine(corpus, index, candidate_cache_size=8)
+        engine = make_engine(corpus, index, answer_cache_bytes=1 << 16)
         cold = engine.search("clinton")
         warm = engine.search("clinton")
         assert cold.metrics.candidate_cache_hit is False
         assert warm.metrics.candidate_cache_hit is True
         assert cold.io_detail["postings_read"] > 0
         assert warm.io_detail["postings_read"] == 0
+        assert warm.io_cost == 0
+        assert warm.metrics.units_confirmed == 0
         assert warm.n_matches == cold.n_matches
         assert warm.n_candidates == cold.n_candidates
+        assert warm.matches == cold.matches
 
     def test_disabled_by_default(self, corpus, index):
         engine = make_engine(corpus, index)
@@ -159,7 +165,7 @@ class TestCandidateCache:
         assert report.io_detail["postings_read"] > 0
 
     def test_scan_all_plans_cached_too(self, corpus, index):
-        engine = make_engine(corpus, index, candidate_cache_size=8)
+        engine = make_engine(corpus, index, answer_cache_bytes=1 << 16)
         cold = engine.search("zzzqqq")  # nothing indexable -> full scan
         warm = engine.search("zzzqqq")
         assert cold.used_full_scan and warm.used_full_scan
@@ -168,7 +174,7 @@ class TestCandidateCache:
 
     def test_results_equal_with_and_without(self, corpus, index):
         plain = make_engine(corpus, index)
-        caching = make_engine(corpus, index, candidate_cache_size=8)
+        caching = make_engine(corpus, index, answer_cache_bytes=1 << 16)
         for pattern in ["clinton", "the cat", "mpc[0-9]+", "(cat|mp3)"]:
             expected = plain.search(pattern).n_matches
             assert caching.search(pattern).n_matches == expected
@@ -177,15 +183,15 @@ class TestCandidateCache:
 
 class TestInvalidation:
     def test_index_setter_clears_caches(self, corpus, index):
-        engine = make_engine(corpus, index, candidate_cache_size=8)
+        engine = make_engine(corpus, index, answer_cache_bytes=1 << 16)
         engine.search("clinton")
         assert len(engine.plan_cache) > 0
-        assert len(engine.candidate_cache) > 0
+        assert len(engine.answer_cache) > 0
         engine.index = build_multigram_index(
             corpus, threshold=0.9, max_gram_len=3
         )
         assert len(engine.plan_cache) == 0
-        assert len(engine.candidate_cache) == 0
+        assert len(engine.answer_cache) == 0
 
     def test_matcher_cache_survives_index_swap(self, corpus, index):
         engine = make_engine(corpus, index)
@@ -195,7 +201,7 @@ class TestInvalidation:
         assert engine._matcher("clinton") is matcher
 
     def test_new_index_actually_used(self, corpus, index):
-        engine = make_engine(corpus, index, candidate_cache_size=8)
+        engine = make_engine(corpus, index, answer_cache_bytes=1 << 16)
         before = engine.search("clinton")
         assert not before.used_full_scan
         engine.index = build_multigram_index(
@@ -217,7 +223,7 @@ class TestSegmentedEpoch:
             corpus, segment_docs=3, builder=self.BUILDER
         )
         return SegmentedFreeEngine(
-            corpus, seg, candidate_cache_size=8
+            corpus, seg, answer_cache_bytes=1 << 16
         ), seg
 
     def test_epoch_bumps_on_mutation(self, corpus):
@@ -235,7 +241,7 @@ class TestSegmentedEpoch:
         texts = list(TEXTS)
         engine, seg = self.engine_over(corpus)
         assert engine.count("clinton") == 2
-        assert engine.count("clinton") == 2  # prime the candidate cache
+        assert engine.count("clinton") == 2  # prime the answer cache
         texts.append("president clinton returns")
         new_corpus = InMemoryCorpus.from_texts(texts)
         engine.corpus = new_corpus

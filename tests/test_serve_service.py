@@ -83,7 +83,7 @@ def server(corpus, multigram_index):
     """One warm server over the shared test corpus, up for the module."""
     thread, _slots = make_server(
         corpus, multigram_index, workers=2, queue_depth=16,
-        timeout_seconds=30.0, candidate_cache_size=0,
+        timeout_seconds=30.0, answer_cache_bytes=0,
     )
     with thread:
         yield thread
@@ -108,11 +108,11 @@ class TestEndpoints:
         index_served = build_multigram_index(corpus, threshold=0.1)
         index_local = build_multigram_index(corpus, threshold=0.1)
         thread, _slots = make_server(
-            corpus, index_served, workers=1, candidate_cache_size=0,
+            corpus, index_served, workers=1, answer_cache_bytes=0,
             plan_cache_size=128, matcher_cache_size=128,
         )
         with thread, wrap_index(
-            corpus, index_local, candidate_cache_size=0,
+            corpus, index_local,
             plan_cache_size=128, matcher_cache_size=128,
         ) as engine:
             for pattern in patterns:

@@ -58,7 +58,7 @@ class TestConstruction:
         assert "3 segments" in repr(engine)
 
     def test_epoch_is_stable(self, corpus, sharded):
-        # Shards are immutable: the candidate-cache epoch never moves.
+        # Shards are immutable: the answer-cache epoch never moves.
         engine = SegmentedFreeEngine(corpus, sharded)
         engine.search("quick")
         assert engine._cache_epoch() == sharded.epoch == 0
@@ -115,7 +115,7 @@ class TestObservability:
 class TestPathGating:
     def test_candidate_cache_hits_on_repeat(self, corpus, sharded):
         with SegmentedFreeEngine(
-            corpus, sharded, candidate_cache_size=8
+            corpus, sharded, answer_cache_bytes=1 << 16
         ) as engine:
             first = engine.search("quick")
             second = engine.search("quick")
