@@ -163,13 +163,6 @@ class TestKey:
         assert hit() is False
         assert len(engine.answer_cache) == 8
 
-    def test_off_by_default_never_consulted(self, corpus, index):
-        engine = FreeEngine(corpus, index, registry=MetricsRegistry())
-        engine.search("clinton")
-        report = engine.search("clinton")
-        assert report.metrics.candidate_cache_hit is None
-        assert engine.cache_stats()["candidates"]["misses"] == 0
-
     def test_stats_and_registry_count_answers(self, corpus, index):
         _off, engine = engines(corpus, index)
         engine.search("clinton")

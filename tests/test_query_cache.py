@@ -163,6 +163,7 @@ class TestCandidateCache:
         report = engine.search("clinton")
         assert report.metrics.candidate_cache_hit is None
         assert report.io_detail["postings_read"] > 0
+        assert engine.cache_stats()["candidates"]["misses"] == 0
 
     def test_scan_all_plans_cached_too(self, corpus, index):
         engine = make_engine(corpus, index, answer_cache_bytes=1 << 16)
